@@ -11,6 +11,7 @@ package heroserve
 // the bottom isolate the design choices DESIGN.md calls out.
 
 import (
+	"io"
 	"os"
 	"sync"
 	"testing"
@@ -25,7 +26,9 @@ import (
 	"heroserve/internal/serving"
 	"heroserve/internal/sim"
 	"heroserve/internal/switchsim"
+	"heroserve/internal/telemetry"
 	"heroserve/internal/telemetry/perf"
+	"heroserve/internal/telemetry/slo"
 	"heroserve/internal/topology"
 	"heroserve/internal/workload"
 )
@@ -356,7 +359,7 @@ func e2eServeBench(b *testing.B, opts serving.Options) {
 // the repo's raw-speed yardstick for the ROADMAP's "millions of requests per
 // run" arc — events/s and allocs/op here are what later speed PRs must move.
 func BenchmarkStressServe(b *testing.B) {
-	stressServeBench(b, false)
+	stressServeBench(b, stressBare)
 }
 
 // BenchmarkStressServePerf is the same run with the performance observatory
@@ -364,12 +367,31 @@ func BenchmarkStressServe(b *testing.B) {
 // measured overhead; scripts/bench.sh derives it as
 // perf_sampler_overhead_frac and warns when it exceeds the 2% budget.
 func BenchmarkStressServePerf(b *testing.B) {
-	stressServeBench(b, true)
+	stressServeBench(b, stressPerf)
+}
+
+// BenchmarkStressServeObserved is the same run with the telemetry stack
+// `serve -trace-out` arms: a hub with a streaming tracer (to io.Discard), SLA
+// verdicts and the default SLO rules, which brings the live critical-path
+// collector, the decision ledger and the alert monitor with it. Its ns/op
+// ratio against BenchmarkStressServe is the telemetry tax; scripts/bench.sh
+// derives it as telemetry_tax_ratio.
+func BenchmarkStressServeObserved(b *testing.B) {
+	stressServeBench(b, stressObserved)
 }
 
 const stressRequests = 100_000
 
-func stressServeBench(b *testing.B, armPerf bool) {
+// stressArm selects what a stress run arms on top of the bare simulator.
+type stressArm int
+
+const (
+	stressBare stressArm = iota
+	stressPerf
+	stressObserved
+)
+
+func stressServeBench(b *testing.B, arm stressArm) {
 	g := topology.Testbed()
 	pre, dec := planner.SplitPoolsByServer(g, 2)
 	trace512 := workload.NewGenerator(workload.Chatbot, 1).Generate(512, 1)
@@ -396,14 +418,30 @@ func stressServeBench(b *testing.B, armPerf bool) {
 	var simSeconds float64
 	for i := 0; i < b.N; i++ {
 		opts := serving.Options{}
-		if armPerf {
+		var hub *telemetry.Hub
+		switch arm {
+		case stressPerf:
 			opts.Perf = perf.NewSampler(0)
+		case stressObserved:
+			hub = telemetry.New()
+			if err := hub.Trace.StreamTo(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+			sla := in.SLA
+			opts.Telemetry = hub
+			opts.SLA = &sla
+			opts.SLO = &slo.Config{Rules: slo.DefaultRules(sla.TTFT, sla.TPOT)}
 		}
 		sys, err := serving.New(g, plan.Deployment, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		res := sys.Run(trace)
+		if hub != nil {
+			if err := hub.Trace.CloseStream(); err != nil {
+				b.Fatal(err)
+			}
+		}
 		events += sys.Engine().Processed()
 		simSeconds = res.Duration
 		if res.Served != stressRequests {

@@ -22,9 +22,11 @@
 package critpath
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"heroserve/internal/telemetry"
@@ -136,6 +138,7 @@ type Analyzer struct {
 	faults  map[int][]interval // fault-active windows per process
 	done    []Breakdown        // finalized, in completion order
 	onFinal []func(Breakdown)
+	sweep   sweep
 }
 
 // New returns an empty analyzer.
@@ -289,13 +292,13 @@ func (a *Analyzer) finalize(k reqKey, rs *reqState) {
 		E2EStages:  make(map[string]float64),
 	}
 	addStage(b.TTFTStages, StageQueue, rs.queue.end-rs.queue.start)
-	partition(b.TTFTStages, rs.prefill, StagePrefillCompute, rs.comm, rs.pipe, faults)
+	a.sweep.partition(b.TTFTStages, rs.prefill, StagePrefillCompute, rs.comm, rs.pipe, faults)
 	for s, v := range b.TTFTStages {
 		b.E2EStages[s] = v
 	}
 	addStage(b.E2EStages, StageKVTransfer, rs.kv.end-rs.kv.start)
 	if rs.decode.seen {
-		partition(b.E2EStages, rs.decode, StageDecodeCompute, rs.comm, nil, faults)
+		a.sweep.partition(b.E2EStages, rs.decode, StageDecodeCompute, rs.comm, nil, faults)
 	}
 	// Convert usec → seconds; TTFT/E2E are the plain stage sums, so the
 	// decomposition identity holds by construction.
@@ -320,85 +323,189 @@ func addStage(m map[string]float64, stage string, d float64) {
 	}
 }
 
+// stageKey is one distinct (priority, stage) pair of a partition; a lower
+// priority wins the overlap.
+type stageKey struct {
+	prio, rank int // rank is stageRank(stage)
+	stage      string
+}
+
+// edge is one boundary point of a partition: a clipped interval's start
+// (delta +1) or end (delta -1), moving the active count of its key, or a
+// window bound (key -1).
+type edge struct {
+	t     float64
+	key   int32
+	delta int32
+}
+
+// sweep is the partition scratch space, reused across requests.
+type sweep struct {
+	edges      []edge
+	keys       []stageKey
+	counts     []int32
+	perm, rank []int // orderKeys scratch
+}
+
 // partition attributes every elementary segment of the window to exactly one
 // stage: all-reduce communication first (overlapping schemes break ties in
 // canonical order), then pipeline transfers, then fault stalls, then the
 // residual compute stage. The attributed durations sum to the window length.
-func partition(out map[string]float64, w window, computeStage string, comm, pipe, faults []interval) {
-	type clipped struct {
-		interval
-		prio int // lower wins
-	}
-	var spans []clipped
-	add := func(ivs []interval, prio int, stage string) {
-		for _, iv := range ivs {
-			s, e := iv.start, iv.end
-			if s < w.start {
-				s = w.start
-			}
-			if e > w.end {
-				e = w.end
-			}
-			if e <= s {
-				continue
-			}
-			st := iv.stage
-			if stage != "" {
-				st = stage
-			}
-			spans = append(spans, clipped{interval{s, e, st}, prio})
-		}
-	}
-	add(comm, 0, "")
-	add(pipe, 1, StagePipeline)
-	add(faults, 2, "")
-	if len(spans) == 0 {
+//
+// The elementary segments lie between the sorted boundary points of the
+// window and the clipped intervals, and a segment belongs to every interval
+// with start <= mid < end, mid being the segment's midpoint. One sorted pass
+// over the boundary points finds both: as mid advances, the starts and ends
+// at or before it move an active count per (priority, stage) key, and a
+// segment's winner is the first key with a nonzero count. Sorting dominates:
+// O(n log n) in the number of intervals.
+func (sw *sweep) partition(out map[string]float64, w window, computeStage string, comm, pipe, faults []interval) {
+	sw.edges = append(sw.edges[:0], edge{w.start, -1, 0}, edge{w.end, -1, 0})
+	sw.keys = sw.keys[:0]
+	sw.add(w, comm, 0, "")
+	sw.add(w, pipe, 1, StagePipeline)
+	sw.add(w, faults, 2, "")
+	if len(sw.edges) == 2 {
 		addStage(out, computeStage, w.end-w.start)
 		return
 	}
-	// Elementary segments between sorted boundary points.
-	pts := make([]float64, 0, 2*len(spans)+2)
-	pts = append(pts, w.start, w.end)
-	for _, sp := range spans {
-		pts = append(pts, sp.start, sp.end)
+	sw.orderKeys()
+	// cmp.Compare sorts NaN first, as sort.Float64s does. A segment with a
+	// NaN bound adds nothing, and no NaN edge carries a key, so the cursor
+	// starts past them.
+	edges := sw.edges
+	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.t, b.t) })
+	counts := sw.counts
+	c := 0
+	for c < len(edges) && math.IsNaN(edges[c].t) {
+		c++
 	}
-	sort.Float64s(pts)
-	for i := 0; i+1 < len(pts); i++ {
-		s, e := pts[i], pts[i+1]
+	for i := 0; i+1 < len(edges); i++ {
+		s, e := edges[i].t, edges[i+1].t
 		if e <= s {
 			continue
 		}
 		mid := s + (e-s)/2
-		stage := computeStage
-		bestPrio := 1 << 30
-		bestRank := 1 << 30
-		for _, sp := range spans {
-			if sp.start <= mid && mid < sp.end {
-				rank := stageRank(sp.stage)
-				if sp.prio < bestPrio || (sp.prio == bestPrio && rank < bestRank) {
-					bestPrio, bestRank, stage = sp.prio, rank, sp.stage
+		// For finite bounds mid lies in [s, e], so midpoints never
+		// decrease and the cursor only moves forward. Otherwise mid is
+		// NaN (s = -Inf) or +Inf (e-s overflowed), and no interval has
+		// start <= mid < end.
+		key := -1
+		if mid <= e {
+			for ; c < len(edges) && edges[c].t <= mid; c++ {
+				if k := edges[c].key; k >= 0 {
+					counts[k] += edges[c].delta
 				}
 			}
+			for k, n := range counts {
+				if n > 0 {
+					key = k
+					break
+				}
+			}
+		}
+		stage := computeStage
+		if key >= 0 {
+			stage = sw.keys[key].stage
 		}
 		addStage(out, stage, e-s)
 	}
 }
 
-// stageRank orders stage labels canonically (unknown labels after known, by
-// name).
+// add clips ivs to the window and appends the bounds of the non-empty ones
+// under their (priority, stage) key; a non-empty stage overrides the
+// intervals' own labels. An interval with a NaN bound covers no midpoint,
+// so its bounds join the boundary points without a key.
+func (sw *sweep) add(w window, ivs []interval, prio int, stage string) {
+	for _, iv := range ivs {
+		s, e := iv.start, iv.end
+		if s < w.start {
+			s = w.start
+		}
+		if e > w.end {
+			e = w.end
+		}
+		if e <= s {
+			continue
+		}
+		st := iv.stage
+		if stage != "" {
+			st = stage
+		}
+		key := int32(-1)
+		if !math.IsNaN(s) && !math.IsNaN(e) {
+			key = sw.intern(prio, st)
+		}
+		sw.edges = append(sw.edges, edge{s, key, 1}, edge{e, key, -1})
+	}
+}
+
+// intern returns the index of the (prio, stage) key, adding it if new.
+func (sw *sweep) intern(prio int, stage string) int32 {
+	for i, k := range sw.keys {
+		if k.prio == prio && k.stage == stage {
+			return int32(i)
+		}
+	}
+	sw.keys = append(sw.keys, stageKey{prio, stageRank(stage), stage})
+	return int32(len(sw.keys) - 1)
+}
+
+// orderKeys sorts the interned keys by (priority, canonical stage order),
+// renumbers the edges to match, and zeroes the active counts, so that the
+// lowest nonzero count index is the winning stage.
+func (sw *sweep) orderKeys() {
+	n := len(sw.keys)
+	perm := sw.perm[:0]
+	for i := range n {
+		perm = append(perm, i)
+	}
+	keys := sw.keys
+	slices.SortFunc(perm, func(i, j int) int { return compareKeys(keys[i], keys[j]) })
+	rank := slices.Grow(sw.rank[:0], n)[:n]
+	for r, i := range perm {
+		rank[i] = r
+	}
+	slices.SortFunc(keys, compareKeys)
+	for i := range sw.edges {
+		if k := sw.edges[i].key; k >= 0 {
+			sw.edges[i].key = int32(rank[k])
+		}
+	}
+	sw.perm, sw.rank = perm, rank
+	sw.counts = slices.Grow(sw.counts[:0], n)[:n]
+	clear(sw.counts)
+}
+
+// compareKeys orders keys by priority, then canonical stage order.
+func compareKeys(a, b stageKey) int {
+	if a.prio != b.prio {
+		return cmp.Compare(a.prio, b.prio)
+	}
+	if a.rank != b.rank {
+		return cmp.Compare(a.rank, b.rank)
+	}
+	return strings.Compare(a.stage, b.stage)
+}
+
+// stageRank orders stage labels canonically: known labels by their position
+// in stageOrder, every unknown label after them.
 func stageRank(stage string) int {
 	for i, s := range stageOrder {
 		if s == stage {
 			return i
 		}
 	}
-	// Unknown stages rank after the canonical list, alphabetically via a
-	// stable large offset on the first byte (cheap and deterministic).
-	r := len(stageOrder)
-	if stage != "" {
-		r += int(stage[0])
+	return len(stageOrder)
+}
+
+// compareStages orders stage labels canonically (unknown labels after known,
+// by name).
+func compareStages(a, b string) int {
+	if c := cmp.Compare(stageRank(a), stageRank(b)); c != 0 {
+		return c
 	}
-	return r
+	return strings.Compare(a, b)
 }
 
 // sortStages returns the map's keys in canonical order.
@@ -407,13 +514,7 @@ func sortStages(m map[string]float64) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		ri, rj := stageRank(keys[i]), stageRank(keys[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return keys[i] < keys[j]
-	})
+	slices.SortFunc(keys, compareStages)
 	return keys
 }
 

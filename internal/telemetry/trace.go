@@ -2,11 +2,10 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
+	"strconv"
 )
 
 // ControlTID is the trace thread reserved for control-plane events: scheduler
@@ -65,8 +64,10 @@ func NewStreamTracer(clock func() float64, w io.Writer) (*Tracer, error) {
 
 func usec(seconds float64) float64 { return seconds * 1e6 }
 
-// traceStream is the incremental on-disk backend: a buffered writer plus the
-// running element count (for comma placement) and the first write error.
+// traceStream encodes events into one JSON trace document on a writer: a
+// buffered writer plus the running element count (for comma placement) and
+// the first write error. Both backends write through it — the streaming
+// backend event by event, Export in one pass over the buffered events.
 type traceStream struct {
 	w   *bufio.Writer
 	n   int
@@ -77,26 +78,58 @@ type traceStream struct {
 // dropped instead of corrupting the finished document.
 var errStreamClosed = errors.New("telemetry: trace stream closed")
 
-func (s *traceStream) write(ev Event) {
+const (
+	tracePrefix = `{"displayTimeUnit":"ms","traceEvents":[`
+	traceSuffix = "]}\n"
+)
+
+// newTraceStream writes the document prefix to w.
+func newTraceStream(w io.Writer) (*traceStream, error) {
+	s := &traceStream{w: bufio.NewWriterSize(w, 1<<16)}
+	if _, err := s.w.WriteString(tracePrefix); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// write appends one event, comma-separated from the previous one. An event
+// that fails to encode is not written and poisons the stream.
+func (s *traceStream) write(ev *Event) {
 	if s.err != nil {
 		return
 	}
-	b, err := json.Marshal(ev)
+	b := s.w.AvailableBuffer()
+	if s.n > 0 {
+		b = append(b, ',')
+	}
+	b, err := appendEvent(b, ev)
 	if err != nil {
 		s.err = err
 		return
-	}
-	if s.n > 0 {
-		if err := s.w.WriteByte(','); err != nil {
-			s.err = err
-			return
-		}
 	}
 	if _, err := s.w.Write(b); err != nil {
 		s.err = err
 		return
 	}
 	s.n++
+}
+
+// close writes the document suffix and flushes. It returns the first error
+// of the stream's lifetime; a stream that already failed stays open and
+// keeps reporting that error.
+func (s *traceStream) close() error {
+	if s.err == errStreamClosed {
+		return nil
+	}
+	if s.err != nil {
+		return s.err
+	}
+	_, err := s.w.WriteString(traceSuffix)
+	if err == nil {
+		err = s.w.Flush()
+	}
+	s.err = errStreamClosed
+	return err
 }
 
 // StreamTo switches the tracer to the streaming backend: the document prefix
@@ -112,12 +145,12 @@ func (t *Tracer) StreamTo(w io.Writer) error {
 	if t.stream != nil {
 		return errors.New("telemetry: tracer already streaming")
 	}
-	s := &traceStream{w: bufio.NewWriterSize(w, 1<<16)}
-	if _, err := s.w.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
+	s, err := newTraceStream(w)
+	if err != nil {
 		return err
 	}
-	for _, ev := range t.events {
-		s.write(ev)
+	for i := range t.events {
+		s.write(&t.events[i])
 	}
 	if s.err != nil {
 		return s.err
@@ -137,20 +170,7 @@ func (t *Tracer) CloseStream() error {
 	if t == nil || t.stream == nil {
 		return nil
 	}
-	s := t.stream
-	if s.err == errStreamClosed {
-		return nil
-	}
-	if s.err != nil {
-		return s.err
-	}
-	if _, err := s.w.WriteString("]}\n"); err != nil {
-		s.err = errStreamClosed
-		return err
-	}
-	err := s.w.Flush()
-	s.err = errStreamClosed
-	return err
+	return t.stream.close()
 }
 
 // Tap installs fn as the tracer's live observer: every subsequent event is
@@ -181,7 +201,7 @@ func (t *Tracer) emit(ev Event) {
 		t.tap(ev)
 	}
 	if t.stream != nil {
-		t.stream.write(ev)
+		t.stream.write(&ev)
 		return
 	}
 	t.events = append(t.events, ev)
@@ -272,7 +292,7 @@ func (t *Tracer) AsyncBegin(cat, name string, id int64, args map[string]any) {
 	}
 	t.emit(Event{
 		Name: name, Cat: cat, Ph: "b", Ts: usec(t.clock()), Pid: t.pid,
-		Tid: ControlTID, ID: fmt.Sprintf("0x%x", id), Args: args,
+		Tid: ControlTID, ID: asyncID(id), Args: args,
 	})
 }
 
@@ -283,8 +303,14 @@ func (t *Tracer) AsyncEnd(cat, name string, id int64) {
 	}
 	t.emit(Event{
 		Name: name, Cat: cat, Ph: "e", Ts: usec(t.clock()), Pid: t.pid,
-		Tid: ControlTID, ID: fmt.Sprintf("0x%x", id),
+		Tid: ControlTID, ID: asyncID(id),
 	})
+}
+
+// asyncID formats an async span id as "0x" plus its hex digits.
+func asyncID(id int64) string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], "0x"...), id, 16))
 }
 
 // Len returns the number of recorded events (0 on the nil tracer). It counts
@@ -306,8 +332,9 @@ func (t *Tracer) Events() []Event {
 }
 
 // Export writes the trace as Chrome trace-event JSON ("JSON object format"),
-// loadable in Perfetto / chrome://tracing. Output is deterministic:
-// encoding/json sorts map keys, and events are written in append order.
+// loadable in Perfetto / chrome://tracing. Output is deterministic: events
+// are written in append order with sorted arg keys, through the same encoder
+// as the streaming backend, so both produce identical documents.
 func (t *Tracer) Export(w io.Writer) error {
 	if t == nil {
 		return nil
@@ -315,15 +342,14 @@ func (t *Tracer) Export(w io.Writer) error {
 	if t.stream != nil {
 		return errors.New("telemetry: tracer is streaming; the trace is already on its writer")
 	}
-	doc := struct {
-		DisplayTimeUnit string  `json:"displayTimeUnit"`
-		TraceEvents     []Event `json:"traceEvents"`
-	}{DisplayTimeUnit: "ms", TraceEvents: t.events}
-	if doc.TraceEvents == nil {
-		doc.TraceEvents = []Event{}
+	s, err := newTraceStream(w)
+	if err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	for i := range t.events {
+		s.write(&t.events[i])
+	}
+	return s.close()
 }
 
 // Float sanitizes a float64 for use in trace-event args: encoding/json rejects

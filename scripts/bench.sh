@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Committed benchmark harness for the simulator fast paths.
 #
-#   scripts/bench.sh run     # run the pinned benchmarks, write BENCH_10.json
+#   scripts/bench.sh run     # run the pinned benchmarks, write BENCH_12.json
 #   scripts/bench.sh check   # quick re-run; compares against the NEWEST
 #                            # committed BENCH_*.json, prints a TSV delta
 #                            # table, and WARNs (exit 0) when ns/op regressed
@@ -19,13 +19,18 @@
 #   - engine event-queue primitives (timer wheel vs binary heap): steady
 #     schedule/step and the cancel/reschedule storm netsim generates
 #   - one end-to-end serve run on both paths
-#   - the 100k-request stress scenario, bare and with the performance
-#     observatory armed; their ns/op ratio is the sampler's measured
-#     overhead (perf_sampler_overhead_frac, budget 2%)
+#   - the telemetry layers: critpath partition (sweep vs the direct oracle)
+#     at 10/100/1000 intervals, and trace-stream emit over the repo's event
+#     shapes (append encoder vs per-event json.Marshal), ns/op + allocs/op
+#   - the 100k-request stress scenario, bare, with the performance
+#     observatory armed, and with the telemetry stack armed; the perf/bare
+#     ns/op ratio is the sampler's measured overhead
+#     (perf_sampler_overhead_frac, budget 2%), the observed/bare ratio the
+#     telemetry tax (telemetry_tax_ratio)
 #
 # Overridables: BENCH_TIME (go -benchtime for micro benches), BENCH_E2E_TIME
 # (e2e serve iterations), BENCH_STRESS_TIME (stress iterations), BENCH_OUT
-# (output path), BENCH_SKIP_STRESS=1 (skip the ~30s stress pair),
+# (output path), BENCH_SKIP_STRESS=1 (skip the stress trio),
 # BENCH_STRICT=1 (check mode fails on >35% ns/op regressions).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,7 +41,7 @@ if [[ "$mode" != "run" && "$mode" != "check" ]]; then
 	exit 2
 fi
 
-OUT="${BENCH_OUT:-BENCH_10.json}"
+OUT="${BENCH_OUT:-BENCH_12.json}"
 benchtime="${BENCH_TIME:-1s}"
 e2etime="${BENCH_E2E_TIME:-3x}"
 # The committed trajectory point averages 3 stress iterations (~40s): the
@@ -67,12 +72,17 @@ go test -run '^$' -bench 'BenchmarkReallocate|BenchmarkFlowChurn' \
 echo "bench: sim engine (benchtime $benchtime)" >&2
 go test -run '^$' -bench 'BenchmarkEngineScheduleStep|BenchmarkEngineCancelReschedule' \
 	-benchtime "$benchtime" ./internal/sim/ | tee -a "$raw"
+echo "bench: telemetry layers (benchtime $benchtime)" >&2
+go test -run '^$' -bench 'BenchmarkPartition' \
+	-benchtime "$benchtime" ./internal/telemetry/critpath/ | tee -a "$raw"
+go test -run '^$' -bench 'BenchmarkTraceStreamEmit' \
+	-benchtime "$benchtime" ./internal/telemetry/ | tee -a "$raw"
 echo "bench: end-to-end serve (benchtime $e2etime)" >&2
 go test -run '^$' -bench 'BenchmarkEndToEndServe(Ref)?$' \
 	-benchtime "$e2etime" . | tee -a "$raw"
 if [[ "${BENCH_SKIP_STRESS:-0}" != "1" ]]; then
 	echo "bench: stress serve 100k requests (benchtime $stresstime)" >&2
-	go test -run '^$' -bench 'BenchmarkStressServe(Perf)?$' \
+	go test -run '^$' -bench 'BenchmarkStressServe(Perf|Observed)?$' \
 		-benchtime "$stresstime" . | tee -a "$raw"
 fi
 
@@ -119,6 +129,17 @@ if bare and armed:
     if frac > 0.02:
         print(f"bench: WARNING perf sampler overhead {frac:.1%} exceeds the "
               "2% budget", file=sys.stderr)
+for n in (10, 100, 1000):
+    sweep = ns(f"BenchmarkPartition/impl=sweep/intervals={n}")
+    oracle = ns(f"BenchmarkPartition/impl=oracle/intervals={n}")
+    if sweep and oracle:
+        derived[f"partition_intervals{n}_speedup"] = round(oracle / sweep, 3)
+app, ref = ns("BenchmarkTraceStreamEmit/impl=append"), ns("BenchmarkTraceStreamEmit/impl=json")
+if app and ref:
+    derived["trace_emit_speedup"] = round(ref / app, 3)
+observed = ns("BenchmarkStressServeObserved")
+if bare and observed:
+    derived["telemetry_tax_ratio"] = round(observed / bare, 3)
 stress = results.get("BenchmarkStressServe")
 if stress and "events_per_s" in stress:
     derived["stress_events_per_sec"] = round(stress["events_per_s"], 1)
@@ -133,7 +154,7 @@ doc = {
 }
 
 mode = os.environ.get("BENCH_MODE", "run")
-out = os.environ.get("BENCH_JSON", "BENCH_10.json")
+out = os.environ.get("BENCH_JSON", "BENCH_12.json")
 if mode == "run":
     with open(out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)

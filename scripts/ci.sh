@@ -21,6 +21,13 @@ go build ./...
 echo "== go test -race"
 go test -race -timeout 45m ./... "$@"
 
+# Fuzz smoke: a short native-fuzzing pass over two telemetry equivalences —
+# the critpath sweep against its direct oracle, and the trace encoder against
+# encoding/json.
+echo "== fuzz smoke"
+go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath/
+go test -run '^$' -fuzz '^FuzzAppendEvent$' -fuzztime 10s ./internal/telemetry/
+
 # Telemetry artifact smoke: a small end-to-end serve run must export a
 # non-empty, well-formed Chrome trace and Prometheus metrics. Artifacts
 # land in ARTIFACT_DIR (a temp dir by default) for CI upload.
@@ -144,7 +151,7 @@ echo "== golden metrics (reference simulator paths)"
 GOLDEN_DIFF_DIR="$ART/golden-ref-diff" scripts/golden.sh refcheck
 
 # Benchmark regression tripwire: re-run the pinned benches (including the
-# 100k-request stress pair) briefly and WARN (never fail by default — shared
+# 100k-request stress trio) briefly and WARN (never fail by default — shared
 # runners are noisy) when ns/op regresses >20% against the newest committed
 # BENCH_*.json. Set BENCH_STRICT=1 to fail on >35% regressions.
 echo "== bench check (warn-only)"
