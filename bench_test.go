@@ -315,11 +315,11 @@ func BenchmarkEndToEndServe(b *testing.B) {
 }
 
 // BenchmarkEndToEndServeRef is the same run forced onto the reference
-// simulator paths (global water-filling, binary-heap event queue). Results
-// are bit-identical to BenchmarkEndToEndServe; the pair is recorded in
-// BENCH_6.json as the end-to-end fast-vs-reference comparison.
+// water-filling allocator. Results are bit-identical to
+// BenchmarkEndToEndServe; scripts/bench.sh records the pair as the
+// end-to-end fast-vs-reference comparison.
 func BenchmarkEndToEndServeRef(b *testing.B) {
-	e2eServeBench(b, serving.Options{ReferenceNetsim: true, ReferenceSim: true})
+	e2eServeBench(b, serving.Options{ReferenceNetsim: true})
 }
 
 func e2eServeBench(b *testing.B, opts serving.Options) {

@@ -83,9 +83,7 @@ func printSummary(r *perf.Report) {
 	}
 
 	q := r.Queue
-	fmt.Printf("event queue: peak live %d (window %d, far %d, max bucket %d), peak tombstones %d\n",
-		q.PeakLive, q.PeakWindow, q.PeakFar, q.PeakBucket, q.PeakTombstones)
-	fmt.Printf("  lifetime: %d cancels, %d compactions\n", q.Final.Cancelled, q.Final.Compactions)
+	fmt.Printf("event queue: peak live %d; lifetime %d cancels\n", q.PeakLive, q.Final.Cancelled)
 
 	n := r.Netsim
 	fmt.Printf("netsim: %d reallocations; mean component %.2f flows / %.2f rounds (max %d flows, %d links)\n",

@@ -11,8 +11,8 @@ import (
 )
 
 // runPerfPurity executes one fully telemetered HeroServe run, optionally with
-// the performance observatory armed and optionally on the reference simulator
-// paths, and returns every deterministic export surface: the Prometheus
+// the performance observatory armed and optionally on the reference
+// water-filling allocator, and returns every deterministic export surface: the Prometheus
 // exposition, the decision-ledger JSON, and the SLO alert log.
 func runPerfPurity(t *testing.T, ref bool, sampler *perf.Sampler) (prom, ledger, alerts []byte) {
 	t.Helper()
@@ -24,7 +24,6 @@ func runPerfPurity(t *testing.T, ref bool, sampler *perf.Sampler) (prom, ledger,
 		SLA:             &sla,
 		Perf:            sampler,
 		ReferenceNetsim: ref,
-		ReferenceSim:    ref,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +51,8 @@ func runPerfPurity(t *testing.T, ref bool, sampler *perf.Sampler) (prom, ledger,
 
 // TestPerfSamplerPreservesGoldenSurfaces is the observatory's purity
 // contract: arming the wall-clock sampler must leave every deterministic
-// export byte-identical — on the fast paths AND on the reference simulator
-// paths. This is the in-process twin of the scripts/golden.sh matrix, which
+// export byte-identical — on the fast allocator AND on the reference
+// allocator. This is the in-process twin of the scripts/golden.sh matrix, which
 // produces its goldens with -perf-out armed.
 func TestPerfSamplerPreservesGoldenSurfaces(t *testing.T) {
 	for _, tc := range []struct {

@@ -29,9 +29,6 @@ func BenchmarkReallocate(b *testing.B) {
 			b.Run(fmt.Sprintf("impl=%s/flows=%d", impl.name, flows), func(b *testing.B) {
 				g := topology.Testbed()
 				eng := sim.NewEngine()
-				if impl.name == "ref" {
-					eng = sim.NewReferenceEngine()
-				}
 				n := impl.mk(g, eng)
 				rng := rand.New(rand.NewSource(42))
 				paths := buildPaths(b, g, rng, 64)
@@ -56,21 +53,17 @@ func BenchmarkReallocate(b *testing.B) {
 
 // BenchmarkFlowChurn measures sustained flow turnover with completions: a
 // closed loop keeping `flows` transfers in flight, each completion starting
-// the next. This exercises finishFlow, the event queue under the
-// cancel/reschedule storm of real traffic, and the wheel's window advance.
+// the next. This exercises finishFlow and the event queue under the
+// reschedule storm of real traffic.
 func BenchmarkFlowChurn(b *testing.B) {
-	for _, impl := range []string{"fast", "ref"} {
-		b.Run("impl="+impl, func(b *testing.B) {
+	for _, impl := range []struct {
+		name string
+		mk   func(*topology.Graph, *sim.Engine) *Network
+	}{{"fast", New}, {"ref", NewReference}} {
+		b.Run("impl="+impl.name, func(b *testing.B) {
 			g := topology.Testbed()
-			var eng *sim.Engine
-			var n *Network
-			if impl == "ref" {
-				eng = sim.NewReferenceEngine()
-				n = NewReference(g, eng)
-			} else {
-				eng = sim.NewEngine()
-				n = New(g, eng)
-			}
+			eng := sim.NewEngine()
+			n := impl.mk(g, eng)
 			rng := rand.New(rand.NewSource(43))
 			paths := buildPaths(b, g, rng, 64)
 			const inFlight = 32

@@ -79,7 +79,7 @@ func runScenario(t *testing.T, data []byte) []uint64 {
 		d.byte()
 	}
 
-	engF, engR := sim.NewEngine(), sim.NewReferenceEngine()
+	engF, engR := sim.NewEngine(), sim.NewEngine()
 	fast, ref := New(gf, engF), NewReference(gr, engR)
 
 	var createdF, createdR []*Flow

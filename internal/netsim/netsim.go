@@ -21,7 +21,7 @@
 // heap allocation of its own. NewReference keeps the original global
 // fixed-point recomputation. Both produce bit-identical rates, completion
 // times, and event orderings — the fast path deliberately issues the same
-// engine Schedule/Cancel sequence, so FIFO tie-breaks cannot drift —
+// engine Schedule/Reschedule/Cancel sequence, so FIFO tie-breaks cannot drift —
 // proven over long randomized scripts by differential_test.go and fuzzed
 // for max-min invariants by FuzzReallocate.
 package netsim
@@ -51,8 +51,8 @@ type Flow struct {
 	lastT     sim.Time
 	latency   float64 // fixed path latency, applied after serialization
 	done      func(*Flow)
-	finish    *sim.Event
-	finishFn  func() // cached completion thunk (fast path: no per-reallocation closure)
+	finish    sim.Event // pending completion; zero while stalled or done
+	finishFn  func()    // cached completion thunk (fast path: no per-reallocation closure)
 	net       *Network
 	cancelled bool
 
@@ -377,10 +377,8 @@ func (n *Network) remove(f *Flow) {
 			n.order = n.order[:len(n.order)-1]
 		}
 	}
-	if f.finish != nil {
-		n.eng.Cancel(f.finish)
-		f.finish = nil
-	}
+	n.eng.Cancel(f.finish)
+	f.finish = sim.Event{}
 }
 
 // charge advances every active flow's progress to the current instant at its
@@ -439,7 +437,8 @@ func (n *Network) orderedFlows() []*Flow {
 // the fast path confines the rate recomputation to their connected
 // component. Completion events are rescheduled for every active flow on both
 // paths — not just the recomputed ones — so the engine sees one and the same
-// Schedule sequence either way and FIFO tie-breaking stays bit-identical.
+// sequence of Reschedule and Schedule calls either way and FIFO tie-breaking
+// stays bit-identical.
 func (n *Network) reallocate(dirty []topology.EdgeID) {
 	if len(n.flows) == 0 {
 		return
@@ -455,16 +454,7 @@ func (n *Network) reallocate(dirty []topology.EdgeID) {
 		}
 		now := n.eng.Now()
 		for _, f := range n.orderedFlows() {
-			if f.finish != nil {
-				n.eng.Cancel(f.finish)
-				f.finish = nil
-			}
-			if f.rate <= 0 {
-				continue // stalled: no event until capacity frees up
-			}
-			eta := f.remaining / f.rate
-			fl := f
-			f.finish = n.eng.Schedule(now+eta, func() { n.finishFlow(fl) })
+			n.retime(f, now)
 		}
 		return
 	}
@@ -478,16 +468,31 @@ func (n *Network) reallocate(dirty []topology.EdgeID) {
 	}
 	now := n.eng.Now()
 	for _, f := range n.order {
-		if f.finish != nil {
-			n.eng.Cancel(f.finish)
-			f.finish = nil
-		}
-		if f.rate <= 0 {
-			continue
-		}
-		eta := f.remaining / f.rate
-		f.finish = n.eng.Schedule(now+eta, f.finishFn)
+		n.retime(f, now)
 	}
+}
+
+// retime points f's completion event at its new finish time: a stalled flow
+// (rate 0) loses its event until capacity frees up, a moving one has its
+// pending event moved in place, or scheduled anew when it had none.
+// Reschedule draws the same FIFO sequence number as Cancel followed by
+// Schedule, so moving the event in place orders it exactly as cancelling
+// and recreating it would.
+func (n *Network) retime(f *Flow, now sim.Time) {
+	if f.rate <= 0 {
+		n.eng.Cancel(f.finish)
+		f.finish = sim.Event{}
+		return
+	}
+	at := now + f.remaining/f.rate
+	if n.eng.Reschedule(f.finish, at) {
+		return
+	}
+	fn := f.finishFn
+	if fn == nil { // reference path: a fresh closure per completion event
+		fn = func() { n.finishFlow(f) }
+	}
+	f.finish = n.eng.Schedule(at, fn)
 }
 
 // refWaterfill is the reference allocator: a global progressive
@@ -650,7 +655,7 @@ func (n *Network) waterfillComponent(dirty []topology.EdgeID) (nLinks, nFlows, r
 func (n *Network) finishFlow(f *Flow) {
 	n.charge()
 	f.remaining = 0
-	f.finish = nil
+	f.finish = sim.Event{} // already popped: the handle is stale
 	n.remove(f)
 	n.reallocate(f.Path.Edges)
 	if f.latency > 0 {

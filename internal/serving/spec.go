@@ -275,9 +275,6 @@ type Options struct {
 	// is bit-identical either way (see internal/netsim); the reference
 	// exists as the differential-testing oracle and benchmark baseline.
 	ReferenceNetsim bool
-	// ReferenceSim selects the reference binary-heap event queue instead of
-	// the timer-wheel fast path. Bit-identical output, same purpose.
-	ReferenceSim bool
 }
 
 func (o *Options) setDefaults() {

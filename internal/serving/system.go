@@ -127,9 +127,6 @@ func New(g *topology.Graph, dep Deployment, opts Options) (*System, error) {
 	}
 	opts.setDefaults()
 	eng := sim.NewEngine()
-	if opts.ReferenceSim {
-		eng = sim.NewReferenceEngine()
-	}
 	net := netsim.New(g, eng)
 	if opts.ReferenceNetsim {
 		net = netsim.NewReference(g, eng)

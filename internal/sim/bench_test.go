@@ -4,16 +4,6 @@ import (
 	"testing"
 )
 
-// benchEngines pairs each front implementation with its constructor, in the
-// order bench.sh parses them.
-var benchEngines = []struct {
-	name string
-	mk   func() *Engine
-}{
-	{"wheel", NewEngine},
-	{"heap", NewReferenceEngine},
-}
-
 // lcg is a tiny deterministic generator; math/rand's overhead would drown
 // the queue operations being measured.
 type lcg uint64
@@ -26,59 +16,51 @@ func (l *lcg) next() uint64 {
 // BenchmarkEngineScheduleStep is the steady-state event loop: one Schedule
 // and one Step per iteration against a standing window of pending events.
 func BenchmarkEngineScheduleStep(b *testing.B) {
-	for _, impl := range benchEngines {
-		b.Run("impl="+impl.name, func(b *testing.B) {
-			e := impl.mk()
-			r := lcg(1)
-			nop := func() {}
-			const window = 1024
-			for i := 0; i < window; i++ {
-				e.Schedule(Time(r.next()%(1<<20))/1e3, nop)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Schedule(e.Now()+Time(r.next()%(1<<20))/1e3, nop)
-				if !e.Step() {
-					b.Fatal("engine drained")
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
+	e := NewEngine()
+	r := lcg(1)
+	nop := func() {}
+	const window = 1024
+	for i := 0; i < window; i++ {
+		e.Schedule(Time(r.next()%(1<<20))/1e3, nop)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(e.Now()+Time(r.next()%(1<<20))/1e3, nop)
+		if !e.Step() {
+			b.Fatal("engine drained")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkEngineCancelReschedule is netsim's reallocation pattern: cancel a
-// block of pending events and schedule replacements, then process one. The
-// reference heap pays O(log n) sifts per cancel; the wheel tombstones in
-// O(1) and amortizes cleanup into compaction.
-func BenchmarkEngineCancelReschedule(b *testing.B) {
+// BenchmarkEngineReschedule is netsim's reallocation pattern: move every
+// pending completion of a block of 64 to a new time, then process one. The
+// event that just ran has a stale handle and is scheduled anew.
+func BenchmarkEngineReschedule(b *testing.B) {
 	const block = 64
-	for _, impl := range benchEngines {
-		b.Run("impl="+impl.name, func(b *testing.B) {
-			e := impl.mk()
-			r := lcg(2)
-			nop := func() {}
-			events := make([]*Event, block)
-			for i := range events {
-				events[i] = e.Schedule(Time(r.next()%(1<<20))/1e3, nop)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range events {
-					e.Cancel(events[j])
-					events[j] = e.Schedule(e.Now()+Time(r.next()%(1<<20))/1e3, nop)
-				}
-				if !e.Step() {
-					b.Fatal("engine drained")
-				}
-			}
-			b.StopTimer()
-			// Each iteration cancels and reschedules the whole block and pops
-			// one event.
-			b.ReportMetric(float64(b.N)*(2*block+1)/b.Elapsed().Seconds(), "ops/s")
-		})
+	e := NewEngine()
+	r := lcg(2)
+	nop := func() {}
+	events := make([]Event, block)
+	for i := range events {
+		events[i] = e.Schedule(Time(r.next()%(1<<20))/1e3, nop)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range events {
+			at := e.Now() + Time(r.next()%(1<<20))/1e3
+			if !e.Reschedule(events[j], at) {
+				events[j] = e.Schedule(at, nop)
+			}
+		}
+		if !e.Step() {
+			b.Fatal("engine drained")
+		}
+	}
+	b.StopTimer()
+	// Each iteration moves the whole block and pops one event.
+	b.ReportMetric(float64(b.N)*(block+1)/b.Elapsed().Seconds(), "ops/s")
 }

@@ -7,22 +7,20 @@
 // number of seconds; no wall-clock time is ever consulted, so runs are fully
 // reproducible.
 //
-// Two queue implementations back the engine. NewEngine returns the fast
-// path: cancellation is lazy (a tombstone flag, discarded when the event
-// surfaces, instead of an O(log n) heap sift per Cancel) and near-future
-// events live in a bucketed window that is sorted one bucket at a time, with
-// a binary heap holding only the far future. NewReferenceEngine returns the
-// original pure-heap implementation with eager removal. Both pop events in
-// exactly the same (time, FIFO) order — internal/sim/differential_test.go
-// locksteps them over long randomized scripts — so they are behaviorally
-// interchangeable; the reference path exists as the equivalence oracle and
-// benchmark baseline.
+// The queue is allocation-free in steady state. Events live in a slab of
+// slots recycled through a free list; the priority queue is a 4-ary heap of
+// small value entries (time, sequence number, slot), and every slot records
+// its entry's heap position so Cancel and Reschedule reach it in O(1) and
+// repair the heap in O(log n). Callers hold Event values — a slot index plus
+// a generation — rather than pointers, so a handle outliving its event is
+// detected, not dereferenced. internal/sim/differential_test.go locksteps the
+// engine against a container/heap oracle over long randomized scripts.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a simulated timestamp in seconds since the start of the run.
@@ -32,108 +30,52 @@ type Time = float64
 // It is convenient as the initial value of "earliest deadline" computations.
 const Forever Time = math.MaxFloat64
 
-// Event is a scheduled callback. The callback runs exactly once, at the
-// event's timestamp, unless the event is cancelled first.
+// Event is a handle to a scheduled callback. The callback runs exactly once,
+// at the event's timestamp, unless the event is cancelled first.
+//
+// The zero Event means "no event". A handle goes stale once its event has
+// run or been cancelled: the engine recycles the slot under a new
+// generation, so Cancel on a stale handle is a no-op and Reschedule reports
+// false, even when the slot already carries another event.
 type Event struct {
-	at     Time
-	seq    uint64 // tie-break: FIFO among equal timestamps
+	slot uint32
+	gen  uint32 // 0 never names a live event
+}
+
+// slot is the slab record of one queued event.
+type slot struct {
 	fn     func()
-	index  int // heap index when heap-resident; >= 0 while queued, -1 otherwise
-	cancel bool
+	pos    int32 // heap position while queued, -1 while free
+	gen    uint32
 	daemon bool
 }
 
-// At returns the simulated time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
+// entry is a heap element. Ordering reads only at and seq, so sifts never
+// touch the slab except to record positions.
+type entry struct {
+	at   Time
+	seq  uint64 // tie-break: FIFO among equal timestamps
+	slot uint32
+}
 
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancel }
-
-// Daemon reports whether the event was scheduled as a daemon tick (see
-// ScheduleDaemon).
-func (e *Event) Daemon() bool { return e.daemon }
-
-// before reports whether e precedes o in the engine's total order.
-func (e *Event) before(o *Event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+// before reports whether a precedes b in the engine's total (time, FIFO)
+// order. seq is unique, so the order is strict and the pop sequence does not
+// depend on the heap's shape.
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return e.seq < o.seq
+	return a.seq < b.seq
 }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool { return q[i].before(q[j]) }
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
-}
-
-// front is a pending-event container. Both implementations surface live
-// events in exactly (at, seq) order; they differ in how cancellation and
-// insertion are amortized.
-type front interface {
-	// push enqueues a freshly scheduled event.
-	push(*Event)
-	// pop removes and returns the earliest live event, discarding any
-	// cancelled events encountered on the way. It returns nil when no live
-	// event remains.
-	pop() *Event
-	// peek returns the earliest live event without removing it (discarding
-	// cancelled events on the way), or nil when none remains.
-	peek() *Event
-	// remove is told that the (still queued) event was just cancelled. The
-	// reference front deletes it eagerly; the fast front leaves a tombstone.
-	remove(*Event)
-	// stats snapshots the queue's internal occupancy for the perf
-	// observatory. Read-only; never mutates the queue.
-	stats() QueueStats
-}
-
-// QueueStats is a point-in-time snapshot of the event queue's internals, the
-// raw material of the performance observatory (internal/telemetry/perf). On
-// the reference heap the window fields are zero and every queued event counts
-// as a far event; tombstone and compaction fields are wheel-only by
-// construction (the heap removes eagerly).
+// QueueStats is a point-in-time snapshot of the event queue, the raw
+// material of the performance observatory (internal/telemetry/perf).
 type QueueStats struct {
-	// Live is the number of queued, not-cancelled events.
+	// Live is the number of queued events.
 	Live int
-	// Tombstones is the number of cancelled events still occupying queue
-	// slots (lazy cancellation, wheel front only).
-	Tombstones int
-	// Cancelled counts every cancellation the front has absorbed.
+	// Cancelled counts every Cancel that removed a queued event. Reschedule
+	// moves an event and is not a cancellation.
 	Cancelled uint64
-	// Compactions counts tombstone-compaction passes (wheel front only).
-	Compactions uint64
-	// WindowEvents is the number of events (tombstones included) resident in
-	// the near-future window: the current sorted run plus its buckets.
-	WindowEvents int
-	// FarEvents is the number of events in the far-future heap.
-	FarEvents int
-	// BucketsOccupied is the number of non-empty undrained window buckets.
-	BucketsOccupied int
-	// MaxBucket is the largest undrained bucket's event count.
-	MaxBucket int
 }
 
 // Profiler receives the engine's self-profiling callbacks. BeginEvent runs
@@ -148,59 +90,17 @@ type Profiler interface {
 	EndEvent(token int64)
 }
 
-// heapFront is the reference queue: a binary heap with eager O(log n)
-// removal on Cancel. It never holds tombstones.
-type heapFront struct {
-	q         eventQueue
-	cancelled uint64
-}
-
-func (f *heapFront) push(e *Event) { heap.Push(&f.q, e) }
-
-func (f *heapFront) pop() *Event {
-	for len(f.q) > 0 {
-		e := heap.Pop(&f.q).(*Event)
-		if !e.cancel {
-			return e
-		}
-	}
-	return nil
-}
-
-func (f *heapFront) peek() *Event {
-	for len(f.q) > 0 && f.q[0].cancel {
-		heap.Pop(&f.q)
-	}
-	if len(f.q) == 0 {
-		return nil
-	}
-	return f.q[0]
-}
-
-func (f *heapFront) remove(e *Event) {
-	heap.Remove(&f.q, e.index)
-	e.index = -1
-	f.cancelled++
-}
-
-func (f *heapFront) stats() QueueStats {
-	return QueueStats{
-		Live:      len(f.q),
-		Cancelled: f.cancelled,
-		FarEvents: len(f.q),
-	}
-}
-
 // Engine is a discrete-event simulator. The zero value is not usable; call
-// NewEngine (fast queue) or NewReferenceEngine (reference heap).
+// NewEngine.
 type Engine struct {
 	now     Time
-	front   front
+	heap    []entry
+	slots   []slot
+	free    []uint32 // recycled slot indices
 	nextSeq uint64
 	// processed counts events that have executed (not cancelled ones).
 	processed uint64
-	// live counts queued events that have not been cancelled.
-	live int
+	cancelled uint64
 	// work counts queued non-daemon events: the events that represent real
 	// simulated activity rather than periodic housekeeping.
 	work int
@@ -209,18 +109,9 @@ type Engine struct {
 	prof Profiler
 }
 
-// NewEngine returns an engine with the clock at zero and an empty queue,
-// backed by the fast lazy-cancellation queue.
+// NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
-	return &Engine{front: newWheelFront()}
-}
-
-// NewReferenceEngine returns an engine backed by the original binary-heap
-// queue with eager cancellation. It processes any schedule in exactly the
-// same order as NewEngine; it exists as the differential-testing oracle and
-// the benchmark baseline.
-func NewReferenceEngine() *Engine {
-	return &Engine{front: &heapFront{}}
+	return &Engine{}
 }
 
 // SetProfiler installs (or, with nil, removes) the engine's self-profiling
@@ -228,9 +119,11 @@ func NewReferenceEngine() *Engine {
 // simulation: determinism of the event order is untouched.
 func (e *Engine) SetProfiler(p Profiler) { e.prof = p }
 
-// QueueStats snapshots the event queue's internal occupancy. It is read-only
-// and safe to call at any point, including from a Profiler callback.
-func (e *Engine) QueueStats() QueueStats { return e.front.stats() }
+// QueueStats snapshots the event queue. It is read-only and safe to call at
+// any point, including from a Profiler callback.
+func (e *Engine) QueueStats() QueueStats {
+	return QueueStats{Live: len(e.heap), Cancelled: e.cancelled}
+}
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -238,8 +131,8 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of live (not cancelled) events still queued.
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // PendingWork returns the number of queued non-daemon events. Periodic
 // control loops should consult it — not Pending — when deciding whether to
@@ -247,23 +140,27 @@ func (e *Engine) Pending() int { return e.live }
 // keep each other (and the whole simulation) alive forever.
 func (e *Engine) PendingWork() int { return e.work }
 
-// Schedule enqueues fn to run at absolute time at. Scheduling in the past
-// panics: it always indicates a simulator bug, and silently reordering time
-// would corrupt every downstream measurement.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
+// checkTime panics on a timestamp the queue cannot order: one in the past
+// (always a simulator bug — silently reordering time would corrupt every
+// downstream measurement) or NaN (which compares "not before" everything and
+// would silently corrupt the heap order).
+func (e *Engine) checkTime(op string, at Time) {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %g before now %g", at, e.now))
+		panic(fmt.Sprintf("sim: %s at %g before now %g", op, at, e.now))
 	}
-	ev := &Event{at: at, seq: e.nextSeq, fn: fn, index: -1}
-	e.nextSeq++
-	e.front.push(ev)
-	e.live++
-	e.work++
-	return ev
+	if at != at {
+		panic(fmt.Sprintf("sim: %s at NaN (now %g)", op, e.now))
+	}
+}
+
+// Schedule enqueues fn to run at absolute time at. Scheduling in the past or
+// at NaN panics.
+func (e *Engine) Schedule(at Time, fn func()) Event {
+	return e.schedule(at, fn, false)
 }
 
 // After enqueues fn to run delay seconds from now. Negative delays panic.
-func (e *Engine) After(delay Time, fn func()) *Event {
+func (e *Engine) After(delay Time, fn func()) Event {
 	return e.Schedule(e.now+delay, fn)
 }
 
@@ -271,53 +168,125 @@ func (e *Engine) After(delay Time, fn func()) *Event {
 // refresh, an autoscaler control step — that must not keep the simulation
 // alive on its own: Run stops once only daemon events remain, discarding
 // them unrun.
-func (e *Engine) ScheduleDaemon(at Time, fn func()) *Event {
-	ev := e.Schedule(at, fn)
-	ev.daemon = true
-	e.work--
-	return ev
+func (e *Engine) ScheduleDaemon(at Time, fn func()) Event {
+	return e.schedule(at, fn, true)
 }
 
 // AfterDaemon enqueues a daemon callback delay seconds from now.
-func (e *Engine) AfterDaemon(delay Time, fn func()) *Event {
+func (e *Engine) AfterDaemon(delay Time, fn func()) Event {
 	return e.ScheduleDaemon(e.now+delay, fn)
 }
 
-// Cancel marks ev so that it will not run. Cancelling an already-executed or
-// already-cancelled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.cancel {
+func (e *Engine) schedule(at Time, fn func(), daemon bool) Event {
+	e.checkTime("schedule", at)
+	var id uint32
+	if n := len(e.free); n > 0 {
+		id = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		id = uint32(len(e.slots))
+		e.slots = append(grow(e.slots), slot{gen: 1})
+	}
+	s := &e.slots[id]
+	s.fn = fn
+	s.daemon = daemon
+	if !daemon {
+		e.work++
+	}
+	e.heap = append(grow(e.heap), entry{at: at, seq: e.nextSeq, slot: id})
+	e.nextSeq++
+	e.up(len(e.heap) - 1)
+	return Event{slot: id, gen: s.gen}
+}
+
+// grow doubles the capacity of a full slice. append alone grows a large
+// slice by only 1.25x, so a run that schedules a long backlog up front (a
+// whole background-traffic train, say) would copy the queue about five
+// times over instead of about twice.
+func grow[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return slices.Grow(s, len(s)+16)
+	}
+	return s
+}
+
+// queued returns ev's slot when ev names a queued event, nil when the handle
+// is zero or stale.
+func (e *Engine) queued(ev Event) *slot {
+	if int(ev.slot) >= len(e.slots) {
+		return nil
+	}
+	s := &e.slots[ev.slot]
+	if s.gen != ev.gen || s.pos < 0 {
+		return nil
+	}
+	return s
+}
+
+// release returns a slot to the free list under a new generation, making
+// every outstanding handle to it stale.
+func (e *Engine) release(id uint32) {
+	s := &e.slots[id]
+	s.fn = nil
+	s.pos = -1
+	if s.gen++; s.gen == 0 {
+		s.gen = 1
+	}
+	if !s.daemon {
+		e.work--
+	}
+	e.free = append(e.free, id)
+}
+
+// Cancel removes ev from the queue so that it will not run. Cancelling the
+// zero Event, or an already-executed or already-cancelled one, is a no-op.
+func (e *Engine) Cancel(ev Event) {
+	s := e.queued(ev)
+	if s == nil {
 		return
 	}
-	ev.cancel = true
-	if ev.index >= 0 {
-		e.live--
-		if !ev.daemon {
-			e.work--
-		}
-		e.front.remove(ev)
+	e.removeAt(int(s.pos))
+	e.release(ev.slot)
+	e.cancelled++
+}
+
+// Reschedule moves the queued event ev to time at, keeping its callback and
+// daemon flag, and reports true. It draws a fresh FIFO sequence number —
+// exactly the one Cancel followed by Schedule would assign — so the pop
+// order is the same as for that pair. A zero or stale handle is left alone
+// and Reschedule reports false. A past or NaN at panics, as for Schedule.
+func (e *Engine) Reschedule(ev Event, at Time) bool {
+	e.checkTime("reschedule", at)
+	s := e.queued(ev)
+	if s == nil {
+		return false
 	}
+	i := int(s.pos)
+	e.heap[i].at = at
+	e.heap[i].seq = e.nextSeq
+	e.nextSeq++
+	e.fix(i)
+	return true
 }
 
 // Step executes the next pending event. It returns false when the queue is
 // empty.
 func (e *Engine) Step() bool {
-	ev := e.front.pop()
-	if ev == nil {
+	if len(e.heap) == 0 {
 		return false
 	}
-	e.live--
-	if !ev.daemon {
-		e.work--
-	}
-	e.now = ev.at
+	top := e.heap[0]
+	e.removeAt(0)
+	fn := e.slots[top.slot].fn
+	e.release(top.slot)
+	e.now = top.at
 	e.processed++
 	if e.prof == nil {
-		ev.fn()
+		fn()
 		return true
 	}
-	tok := e.prof.BeginEvent(ev.at)
-	ev.fn()
+	tok := e.prof.BeginEvent(top.at)
+	fn()
 	e.prof.EndEvent(tok)
 	return true
 }
@@ -334,14 +303,82 @@ func (e *Engine) Run() {
 // clock to deadline (if it is ahead of the last event). Events scheduled
 // after deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
-	for {
-		next := e.front.peek()
-		if next == nil || next.at > deadline {
-			break
-		}
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
+}
+
+// The heap is 4-ary: children of i are 4i+1..4i+4. A wider node halves the
+// tree depth of a binary heap, and the four children's keys share a cache
+// line or two, so pops — the dominant operation — touch fewer lines.
+
+// place stores x at heap position i and records the position in its slot.
+func (e *Engine) place(i int, x entry) {
+	e.heap[i] = x
+	e.slots[x.slot].pos = int32(i)
+}
+
+func (e *Engine) up(i int) {
+	x := e.heap[i]
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !x.before(&e.heap[p]) {
+			break
+		}
+		e.place(i, e.heap[p])
+		i = p
+	}
+	e.place(i, x)
+}
+
+func (e *Engine) down(i int) {
+	x := e.heap[i]
+	n := len(e.heap)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if e.heap[j].before(&e.heap[m]) {
+				m = j
+			}
+		}
+		if !e.heap[m].before(&x) {
+			break
+		}
+		e.place(i, e.heap[m])
+		i = m
+	}
+	e.place(i, x)
+}
+
+// fix restores heap order after the entry at i changed its key.
+func (e *Engine) fix(i int) {
+	if i > 0 && e.heap[i].before(&e.heap[(i-1)>>2]) {
+		e.up(i)
+	} else {
+		e.down(i)
+	}
+}
+
+// removeAt deletes the heap entry at i, filling the hole with the last
+// entry. The removed entry's slot is left for the caller to release.
+func (e *Engine) removeAt(i int) {
+	last := len(e.heap) - 1
+	if i != last {
+		e.heap[i] = e.heap[last]
+		e.heap = e.heap[:last]
+		e.fix(i)
+		return
+	}
+	e.heap = e.heap[:last]
 }

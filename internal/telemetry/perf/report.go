@@ -29,14 +29,10 @@ type Phases struct {
 }
 
 // QueueReport combines the final event-queue snapshot with the high-water
-// marks observed at sample boundaries across the run.
+// mark observed at sample boundaries across the run.
 type QueueReport struct {
-	Final          sim.QueueStats `json:"final"`
-	PeakLive       int            `json:"peak_live"`
-	PeakTombstones int            `json:"peak_tombstones"`
-	PeakWindow     int            `json:"peak_window_events"`
-	PeakFar        int            `json:"peak_far_events"`
-	PeakBucket     int            `json:"peak_bucket_events"`
+	Final    sim.QueueStats `json:"final"`
+	PeakLive int            `json:"peak_live"`
 }
 
 // HistBucket is one bucket of the component-size histogram: Count
@@ -159,13 +155,7 @@ func (s *Sampler) Report(system string) *Report {
 		r.Phases.SelfFraction = r.Phases.SelfSeconds / wall
 	}
 
-	r.Queue = QueueReport{
-		PeakLive:       s.peakLive,
-		PeakTombstones: s.peakTombstones,
-		PeakWindow:     s.peakWindow,
-		PeakFar:        s.peakFar,
-		PeakBucket:     s.peakBucket,
-	}
+	r.Queue = QueueReport{PeakLive: s.peakLive}
 	if s.eng != nil {
 		r.Queue.Final = s.eng.QueueStats()
 	}

@@ -103,12 +103,8 @@ type Sampler struct {
 	selfNS        int64
 	armed         bool // current event is being timed; propagates to nested probes
 
-	// Queue high-water marks, observed at sample boundaries.
-	peakLive       int
-	peakTombstones int
-	peakWindow     int
-	peakFar        int
-	peakBucket     int
+	// Queue high-water mark, observed at sample boundaries.
+	peakLive int
 
 	// Water-filling accounting. Counts cover every reallocation; timing only
 	// the ones that land inside a sampled event.
@@ -205,21 +201,8 @@ func (s *Sampler) EndEvent(token int64) {
 // accounted to selfNS so the report can show the observatory's tax.
 func (s *Sampler) boundary(t int64) {
 	if s.eng != nil {
-		st := s.eng.QueueStats()
-		if st.Live > s.peakLive {
-			s.peakLive = st.Live
-		}
-		if st.Tombstones > s.peakTombstones {
-			s.peakTombstones = st.Tombstones
-		}
-		if st.WindowEvents > s.peakWindow {
-			s.peakWindow = st.WindowEvents
-		}
-		if st.FarEvents > s.peakFar {
-			s.peakFar = st.FarEvents
-		}
-		if st.MaxBucket > s.peakBucket {
-			s.peakBucket = st.MaxBucket
+		if live := s.eng.QueueStats().Live; live > s.peakLive {
+			s.peakLive = live
 		}
 	}
 

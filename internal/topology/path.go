@@ -93,6 +93,7 @@ type ShortestPaths struct {
 	Dist   []float64
 	prevE  []EdgeID // predecessor edge, -1 at source/unreachable
 	g      *Graph
+	paths  []Path // PathTo results by destination, built on first request
 }
 
 // Dijkstra computes shortest paths from src under the given cost metric.
@@ -159,29 +160,36 @@ func (g *Graph) Dijkstra(src NodeID, cost EdgeCost, allow func(NodeID) bool) *Sh
 	return sp
 }
 
-// PathTo reconstructs the shortest path from the source to dst. The second
+// PathTo returns the shortest path from the source to dst. The second
 // result is false when dst is unreachable.
+//
+// The path is built once per destination and memoized: every call for the
+// same dst returns the same Path, whose slices are shared and must be
+// treated as read-only. Their capacity equals their length, so appending to
+// them copies rather than writing into the shared arrays.
 func (sp *ShortestPaths) PathTo(dst NodeID) (Path, bool) {
 	if math.IsInf(sp.Dist[dst], 1) {
 		return Path{}, false
 	}
-	var revEdges []EdgeID
-	var revNodes []NodeID
-	for at := dst; at != sp.Source; {
+	if sp.paths == nil {
+		sp.paths = make([]Path, len(sp.Dist))
+	}
+	if p := sp.paths[dst]; p.Valid() {
+		return p, true
+	}
+	hops := 0
+	for at := dst; at != sp.Source; at = sp.g.Edge(sp.prevE[at]).Other(at) {
+		hops++
+	}
+	p := Path{Nodes: make([]NodeID, hops+1), Edges: make([]EdgeID, hops)}
+	p.Nodes[hops] = dst
+	for at, i := dst, hops; i > 0; i-- {
 		eid := sp.prevE[at]
-		revEdges = append(revEdges, eid)
-		revNodes = append(revNodes, at)
 		at = sp.g.Edge(eid).Other(at)
+		p.Edges[i-1] = eid
+		p.Nodes[i-1] = at
 	}
-	p := Path{
-		Nodes: make([]NodeID, 0, len(revNodes)+1),
-		Edges: make([]EdgeID, 0, len(revEdges)),
-	}
-	p.Nodes = append(p.Nodes, sp.Source)
-	for i := len(revNodes) - 1; i >= 0; i-- {
-		p.Nodes = append(p.Nodes, revNodes[i])
-		p.Edges = append(p.Edges, revEdges[i])
-	}
+	sp.paths[dst] = p
 	return p, true
 }
 

@@ -3,6 +3,7 @@ package topology
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -81,6 +82,44 @@ func TestPathToSelf(t *testing.T) {
 	p, ok := sp.PathTo(ids[0])
 	if !ok || p.Hops() != 0 || len(p.Nodes) != 1 {
 		t.Errorf("self path = %+v, ok=%v", p, ok)
+	}
+}
+
+// PathTo memoizes one Path per destination: repeated calls return the same
+// shared, well-formed path a fresh Dijkstra tree would build, without
+// allocating again.
+func TestPathToMemoized(t *testing.T) {
+	g := Testbed()
+	src := NodeID(0)
+	sp := g.Dijkstra(src, TransferCost(1<<20), nil)
+	for i := 0; i < g.NumNodes(); i++ {
+		dst := NodeID(i)
+		p, ok := sp.PathTo(dst)
+		if !ok {
+			continue
+		}
+		q, _ := sp.PathTo(dst)
+		if !reflect.DeepEqual(p, q) || &p.Nodes[0] != &q.Nodes[0] {
+			t.Fatalf("dst %d: repeated PathTo returned a different path: %+v vs %+v", dst, p, q)
+		}
+		fresh, _ := g.Dijkstra(src, TransferCost(1<<20), nil).PathTo(dst)
+		if !reflect.DeepEqual(p, fresh) {
+			t.Fatalf("dst %d: memoized %+v, fresh tree %+v", dst, p, fresh)
+		}
+		if p.Nodes[0] != src || p.Nodes[len(p.Nodes)-1] != dst || len(p.Edges) != len(p.Nodes)-1 {
+			t.Fatalf("dst %d: malformed path %+v", dst, p)
+		}
+		for k, eid := range p.Edges {
+			if g.Edge(eid).Other(p.Nodes[k]) != p.Nodes[k+1] {
+				t.Fatalf("dst %d: edge %d does not join %d and %d", dst, eid, p.Nodes[k], p.Nodes[k+1])
+			}
+		}
+		if cap(p.Nodes) != len(p.Nodes) || cap(p.Edges) != len(p.Edges) {
+			t.Fatalf("dst %d: shared slices have spare capacity an append could write into", dst)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { sp.PathTo(dst) }); allocs != 0 {
+			t.Fatalf("dst %d: repeated PathTo allocates %.1f objects", dst, allocs)
+		}
 	}
 }
 

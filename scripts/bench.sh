@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Committed benchmark harness for the simulator fast paths.
 #
-#   scripts/bench.sh run     # run the pinned benchmarks, write BENCH_12.json
+#   scripts/bench.sh run     # run the pinned benchmarks, write BENCH_13.json
 #   scripts/bench.sh check   # quick re-run; compares against the NEWEST
 #                            # committed BENCH_*.json, prints a TSV delta
 #                            # table, and WARNs (exit 0) when ns/op regressed
@@ -16,8 +16,8 @@
 #     component water-filling vs global fixed point), ns/op + allocs/op +
 #     reallocs/s
 #   - sustained flow churn through completions, events/s
-#   - engine event-queue primitives (timer wheel vs binary heap): steady
-#     schedule/step and the cancel/reschedule storm netsim generates
+#   - engine event-queue primitives, both allocation-free: steady
+#     schedule/step and the in-place reschedule storm netsim generates
 #   - one end-to-end serve run on both paths
 #   - the telemetry layers: critpath partition (sweep vs the direct oracle)
 #     at 10/100/1000 intervals, and trace-stream emit over the repo's event
@@ -41,7 +41,7 @@ if [[ "$mode" != "run" && "$mode" != "check" ]]; then
 	exit 2
 fi
 
-OUT="${BENCH_OUT:-BENCH_12.json}"
+OUT="${BENCH_OUT:-BENCH_13.json}"
 benchtime="${BENCH_TIME:-1s}"
 e2etime="${BENCH_E2E_TIME:-3x}"
 # The committed trajectory point averages 3 stress iterations (~40s): the
@@ -70,7 +70,7 @@ echo "bench: netsim (benchtime $benchtime)" >&2
 go test -run '^$' -bench 'BenchmarkReallocate|BenchmarkFlowChurn' \
 	-benchtime "$benchtime" ./internal/netsim/ | tee -a "$raw"
 echo "bench: sim engine (benchtime $benchtime)" >&2
-go test -run '^$' -bench 'BenchmarkEngineScheduleStep|BenchmarkEngineCancelReschedule' \
+go test -run '^$' -bench 'BenchmarkEngineScheduleStep$|BenchmarkEngineReschedule$' \
 	-benchtime "$benchtime" ./internal/sim/ | tee -a "$raw"
 echo "bench: telemetry layers (benchtime $benchtime)" >&2
 go test -run '^$' -bench 'BenchmarkPartition' \
@@ -154,7 +154,7 @@ doc = {
 }
 
 mode = os.environ.get("BENCH_MODE", "run")
-out = os.environ.get("BENCH_JSON", "BENCH_12.json")
+out = os.environ.get("BENCH_JSON", "BENCH_13.json")
 if mode == "run":
     with open(out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)

@@ -21,10 +21,11 @@ go build ./...
 echo "== go test -race"
 go test -race -timeout 45m ./... "$@"
 
-# Fuzz smoke: a short native-fuzzing pass over two telemetry equivalences —
-# the critpath sweep against its direct oracle, and the trace encoder against
-# encoding/json.
+# Fuzz smoke: a short native-fuzzing pass over three equivalences — the
+# event engine against its container/heap oracle, the critpath sweep against
+# its direct oracle, and the trace encoder against encoding/json.
 echo "== fuzz smoke"
+go test -run '^$' -fuzz '^FuzzEngine$' -fuzztime 10s ./internal/sim/
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath/
 go test -run '^$' -fuzz '^FuzzAppendEvent$' -fuzztime 10s ./internal/telemetry/
 
@@ -144,10 +145,10 @@ echo "== golden metrics"
 GOLDEN_DIFF_DIR="$ART/golden-diff" scripts/golden.sh check
 
 # Fast-vs-reference equivalence gate: the same matrix forced onto the
-# reference simulator paths (-netsim-ref -sim-ref) must hit the SAME goldens.
-# A failure here means the incremental water-filling or the timer-wheel
-# event queue diverged behaviourally from its reference implementation.
-echo "== golden metrics (reference simulator paths)"
+# reference water-filling allocator (-netsim-ref) must hit the SAME goldens.
+# A failure here means the incremental water-filling diverged behaviourally
+# from its reference implementation.
+echo "== golden metrics (reference water-filling)"
 GOLDEN_DIFF_DIR="$ART/golden-ref-diff" scripts/golden.sh refcheck
 
 # Benchmark regression tripwire: re-run the pinned benches (including the

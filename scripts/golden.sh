@@ -8,10 +8,10 @@
 #
 #   scripts/golden.sh check    # run the pinned matrix, diff against goldens
 #   scripts/golden.sh refcheck # same matrix forced onto the reference
-#                              # simulator paths (-netsim-ref -sim-ref); must
+#                              # water-filling allocator (-netsim-ref); must
 #                              # match the SAME goldens — proving the fast
-#                              # incremental water-filling and timer-wheel
-#                              # event queue are behaviourally identical
+#                              # incremental water-filling is behaviourally
+#                              # identical
 #   scripts/golden.sh regen    # refresh testdata/golden/ after an
 #                              # INTENTIONAL behaviour change (review the diff!)
 #
@@ -29,13 +29,14 @@
 # Each case further pins the decision-ledger summary ($name.decisions.tsv,
 # rendered by decisionstat -tsv from the run's -decisions-out export): the
 # per-scheme counterfactual regret totals and the scale laws' shadow verdict
-# matrix. Under refcheck the reference simulator paths must reproduce the
+# matrix. Under refcheck the reference allocator must reproduce the
 # SAME decision ledgers — counterfactual costs included — bit for bit.
 #
 # Each case finally pins the SLO alert log ($name.alerts.tsv, rendered by
 # alertstat -tsv from the run's -alerts-out export): every alert's lifecycle
 # stamps and the per-rule roll-up. Refcheck identity applies here too — the
-# reference paths must fire and resolve the SAME alerts at the SAME sim-times.
+# reference allocator must fire and resolve the SAME alerts at the SAME
+# sim-times.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,11 +48,11 @@ if [[ "$mode" != "check" && "$mode" != "refcheck" && "$mode" != "regen" ]]; then
 	exit 2
 fi
 
-# refcheck pins the reference simulator implementations to the same goldens
-# the fast paths produce: any divergence between the two is a gate failure.
+# refcheck pins the reference allocator to the same goldens the fast path
+# produces: any divergence between the two is a gate failure.
 EXTRA_SV=""
 if [[ "$mode" == "refcheck" ]]; then
-	EXTRA_SV="-netsim-ref -sim-ref"
+	EXTRA_SV="-netsim-ref"
 fi
 
 BIN="$OUT_DIR/bin"
@@ -163,8 +164,8 @@ while IFS='|' read -r name tg sv; do
 done < <(cases)
 
 if [[ "$mode" == "refcheck" && $status -ne 0 ]]; then
-	echo "golden: REFERENCE paths diverged from the committed goldens — the fast" >&2
-	echo "golden: and reference simulator implementations no longer agree." >&2
+	echo "golden: REFERENCE allocator diverged from the committed goldens — the fast" >&2
+	echo "golden: and reference water-filling implementations no longer agree." >&2
 elif [[ "$mode" != "regen" && $status -ne 0 ]]; then
 	echo "golden: metrics drifted from testdata/golden/." >&2
 	echo "golden: if the change is intentional, run scripts/golden.sh regen and commit the result." >&2
