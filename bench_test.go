@@ -311,18 +311,6 @@ func BenchmarkAblationPerturbation(b *testing.B) {
 // BenchmarkEndToEndServe measures raw simulator throughput: simulated
 // seconds per wall second for a loaded OPT-66B testbed run.
 func BenchmarkEndToEndServe(b *testing.B) {
-	e2eServeBench(b, serving.Options{})
-}
-
-// BenchmarkEndToEndServeRef is the same run forced onto the reference
-// water-filling allocator. Results are bit-identical to
-// BenchmarkEndToEndServe; scripts/bench.sh records the pair as the
-// end-to-end fast-vs-reference comparison.
-func BenchmarkEndToEndServeRef(b *testing.B) {
-	e2eServeBench(b, serving.Options{ReferenceNetsim: true})
-}
-
-func e2eServeBench(b *testing.B, opts serving.Options) {
 	g := topology.Testbed()
 	pre, dec := planner.SplitPoolsByServer(g, 2)
 	trace512 := workload.NewGenerator(workload.Chatbot, 1).Generate(512, 1)
@@ -345,7 +333,7 @@ func e2eServeBench(b *testing.B, opts serving.Options) {
 	trace := workload.NewGenerator(workload.Chatbot, 5).Generate(64, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys, err := serving.New(g, plan.Deployment, opts)
+		sys, err := serving.New(g, plan.Deployment, serving.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,19 +11,18 @@ import (
 )
 
 // runPerfPurity executes one fully telemetered HeroServe run, optionally with
-// the performance observatory armed and optionally on the reference
-// water-filling allocator, and returns every deterministic export surface: the Prometheus
-// exposition, the decision-ledger JSON, and the SLO alert log.
-func runPerfPurity(t *testing.T, ref bool, sampler *perf.Sampler) (prom, ledger, alerts []byte) {
+// the performance observatory armed, and returns every deterministic export
+// surface: the Prometheus exposition, the decision-ledger JSON, and the SLO
+// alert log.
+func runPerfPurity(t *testing.T, sampler *perf.Sampler) (prom, ledger, alerts []byte) {
 	t.Helper()
 	in := inputs(t)
 	hub := telemetry.New()
 	sla := in.SLA
 	sys, _, _, err := NewSystem(in, nil, serving.Options{
-		Telemetry:       hub,
-		SLA:             &sla,
-		Perf:            sampler,
-		ReferenceNetsim: ref,
+		Telemetry: hub,
+		SLA:       &sla,
+		Perf:      sampler,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,50 +50,41 @@ func runPerfPurity(t *testing.T, ref bool, sampler *perf.Sampler) (prom, ledger,
 
 // TestPerfSamplerPreservesGoldenSurfaces is the observatory's purity
 // contract: arming the wall-clock sampler must leave every deterministic
-// export byte-identical — on the fast allocator AND on the reference
-// allocator. This is the in-process twin of the scripts/golden.sh matrix, which
-// produces its goldens with -perf-out armed.
+// export byte-identical. This is the in-process twin of the scripts/golden.sh
+// matrix, which produces its goldens with -perf-out armed.
 func TestPerfSamplerPreservesGoldenSurfaces(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		ref  bool
-	}{
-		{"fast", false},
-		{"reference", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			promOff, ledOff, alertsOff := runPerfPurity(t, tc.ref, nil)
+	t.Run("fast", func(t *testing.T) {
+		promOff, ledOff, alertsOff := runPerfPurity(t, nil)
 
-			sampler := perf.NewSampler(0)
-			promOn, ledOn, alertsOn := runPerfPurity(t, tc.ref, sampler)
+		sampler := perf.NewSampler(0)
+		promOn, ledOn, alertsOn := runPerfPurity(t, sampler)
 
-			if !bytes.Equal(promOff, promOn) {
-				t.Error("perf sampler changed the Prometheus exposition")
-			}
-			if !bytes.Equal(ledOff, ledOn) {
-				t.Error("perf sampler changed the decision ledger")
-			}
-			if !bytes.Equal(alertsOff, alertsOn) {
-				t.Error("perf sampler changed the SLO alert log")
-			}
-			if len(promOff) == 0 || len(ledOff) == 0 {
-				t.Fatal("purity comparison ran against empty exports")
-			}
+		if !bytes.Equal(promOff, promOn) {
+			t.Error("perf sampler changed the Prometheus exposition")
+		}
+		if !bytes.Equal(ledOff, ledOn) {
+			t.Error("perf sampler changed the decision ledger")
+		}
+		if !bytes.Equal(alertsOff, alertsOn) {
+			t.Error("perf sampler changed the SLO alert log")
+		}
+		if len(promOff) == 0 || len(ledOff) == 0 {
+			t.Fatal("purity comparison ran against empty exports")
+		}
 
-			// The sampler must also have actually observed the run it rode on.
-			r := sampler.Report("purity")
-			if r.Events == 0 {
-				t.Error("armed sampler counted no events")
-			}
-			if r.WallSeconds <= 0 {
-				t.Errorf("WallSeconds = %g, want > 0", r.WallSeconds)
-			}
-			if r.SimSeconds <= 0 {
-				t.Errorf("SimSeconds = %g, want > 0", r.SimSeconds)
-			}
-			if r.Netsim.Reallocs == 0 {
-				t.Error("armed sampler observed no reallocations")
-			}
-		})
-	}
+		// The sampler must also have actually observed the run it rode on.
+		r := sampler.Report("purity")
+		if r.Events == 0 {
+			t.Error("armed sampler counted no events")
+		}
+		if r.WallSeconds <= 0 {
+			t.Errorf("WallSeconds = %g, want > 0", r.WallSeconds)
+		}
+		if r.SimSeconds <= 0 {
+			t.Errorf("SimSeconds = %g, want > 0", r.SimSeconds)
+		}
+		if r.Netsim.Reallocs == 0 {
+			t.Error("armed sampler observed no reallocations")
+		}
+	})
 }

@@ -14,40 +14,32 @@ import (
 // pays it. Each iteration starts and cancels a probe flow against a standing
 // population of long-lived flows, i.e. two reallocations per op.
 //
-// scripts/bench.sh runs this for both implementations and commits the
-// results to BENCH_6.json; CI warns when the committed numbers regress.
+// scripts/bench.sh runs it and commits the results to BENCH_*.json; CI
+// warns when the committed numbers regress. The impl=fast path segment
+// keeps the sub-benchmark names of the committed baselines.
 func BenchmarkReallocate(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func(*topology.Graph, *sim.Engine) *Network
-	}{
-		{"fast", New},
-		{"ref", NewReference},
-	}
-	for _, impl := range impls {
-		for _, flows := range []int{10, 100, 1000} {
-			b.Run(fmt.Sprintf("impl=%s/flows=%d", impl.name, flows), func(b *testing.B) {
-				g := topology.Testbed()
-				eng := sim.NewEngine()
-				n := impl.mk(g, eng)
-				rng := rand.New(rand.NewSource(42))
-				paths := buildPaths(b, g, rng, 64)
-				// Standing population: huge flows that never finish within
-				// the benchmark.
-				for i := 0; i < flows; i++ {
-					n.StartFlow(paths[i%len(paths)], 1<<40, nil)
-				}
-				probePath := paths[rng.Intn(len(paths))]
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					f := n.StartFlow(probePath, 1<<30, nil)
-					n.CancelFlow(f)
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "reallocs/s")
-			})
-		}
+	for _, flows := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("impl=fast/flows=%d", flows), func(b *testing.B) {
+			g := topology.Testbed()
+			eng := sim.NewEngine()
+			n := New(g, eng)
+			rng := rand.New(rand.NewSource(42))
+			paths := buildPaths(b, g, rng, 64)
+			// Standing population: huge flows that never finish within the
+			// benchmark.
+			for i := 0; i < flows; i++ {
+				n.StartFlow(paths[i%len(paths)], 1<<40, nil)
+			}
+			probePath := paths[rng.Intn(len(paths))]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := n.StartFlow(probePath, 1<<30, nil)
+				n.CancelFlow(f)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "reallocs/s")
+		})
 	}
 }
 
@@ -56,37 +48,32 @@ func BenchmarkReallocate(b *testing.B) {
 // the next. This exercises finishFlow and the event queue under the
 // reschedule storm of real traffic.
 func BenchmarkFlowChurn(b *testing.B) {
-	for _, impl := range []struct {
-		name string
-		mk   func(*topology.Graph, *sim.Engine) *Network
-	}{{"fast", New}, {"ref", NewReference}} {
-		b.Run("impl="+impl.name, func(b *testing.B) {
-			g := topology.Testbed()
-			eng := sim.NewEngine()
-			n := impl.mk(g, eng)
-			rng := rand.New(rand.NewSource(43))
-			paths := buildPaths(b, g, rng, 64)
-			const inFlight = 32
-			started := 0
-			var launch func()
-			launch = func() {
-				started++
-				n.StartFlow(paths[started%len(paths)], int64(1<<20+started%4096), func(*Flow) {
-					launch()
-				})
-			}
-			for i := 0; i < inFlight; i++ {
+	b.Run("impl=fast", func(b *testing.B) {
+		g := topology.Testbed()
+		eng := sim.NewEngine()
+		n := New(g, eng)
+		rng := rand.New(rand.NewSource(43))
+		paths := buildPaths(b, g, rng, 64)
+		const inFlight = 32
+		started := 0
+		var launch func()
+		launch = func() {
+			started++
+			n.StartFlow(paths[started%len(paths)], int64(1<<20+started%4096), func(*Flow) {
 				launch()
+			})
+		}
+		for i := 0; i < inFlight; i++ {
+			launch()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !eng.Step() {
+				b.Fatal("engine drained")
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !eng.Step() {
-					b.Fatal("engine drained")
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	})
 }

@@ -10,14 +10,15 @@ import (
 
 // FuzzReallocate decodes arbitrary bytes into a small topology plus a script
 // of flow starts/cancels, link rescalings, and engine steps, and checks after
-// every operation that the allocator's output is a max-min fair allocation:
+// every reallocation that the allocator's output is a max-min fair
+// allocation:
 //
 //  1. no link carries more than its effective capacity (within float
 //     tolerance);
 //  2. every active flow is bottlenecked — some link on its path is saturated
 //     and the flow's rate is maximal among that link's flows (a flow that
 //     could be raised without lowering a faster flow is not max-min);
-//  3. the reference and fast allocators agree bit-for-bit;
+//  3. every rate equals the global oracle's (oracleRates) bit-for-bit;
 //  4. replaying the script on a fresh network reproduces every rate
 //     bit-for-bit (determinism).
 func FuzzReallocate(f *testing.F) {
@@ -54,35 +55,27 @@ func (d *fuzzDecoder) byte() byte {
 	return b
 }
 
-// runScenario decodes and executes one fuzz scenario on a fast and a
-// reference network in lockstep, returning the final state as float bits for
-// the caller's determinism check.
+// runScenario decodes and executes one fuzz scenario with the oracle probe
+// armed, returning the final state as float bits for the caller's
+// determinism check.
 func runScenario(t *testing.T, data []byte) []uint64 {
 	d := &fuzzDecoder{data: data}
 
 	nEdges := 1 + int(d.byte())%8
-	build := func() *topology.Graph {
-		g := topology.NewGraph()
-		prev := g.AddNode(topology.Node{Kind: topology.KindHost})
-		dd := &fuzzDecoder{data: data}
-		dd.byte() // skip the edge-count byte
-		for i := 0; i < nEdges; i++ {
-			next := g.AddNode(topology.Node{Kind: topology.KindHost})
-			capScale := 0.25 * float64(1+int(dd.byte())%16)
-			g.AddEdge(prev, next, topology.LinkEthernet, capScale*1e9, 0)
-			prev = next
-		}
-		return g
-	}
-	gf, gr := build(), build()
-	for i := 0; i < nEdges; i++ { // consume the capacity bytes on d too
-		d.byte()
+	g := topology.NewGraph()
+	prev := g.AddNode(topology.Node{Kind: topology.KindHost})
+	for i := 0; i < nEdges; i++ {
+		next := g.AddNode(topology.Node{Kind: topology.KindHost})
+		capScale := 0.25 * float64(1+int(d.byte())%16)
+		g.AddEdge(prev, next, topology.LinkEthernet, capScale*1e9, 0)
+		prev = next
 	}
 
-	engF, engR := sim.NewEngine(), sim.NewEngine()
-	fast, ref := New(gf, engF), NewReference(gr, engR)
+	eng := sim.NewEngine()
+	n := New(g, eng)
+	newOracleProbe(t, n)
 
-	var createdF, createdR []*Flow
+	var created []*Flow
 	fracs := []float64{0, 0.25, 0.5, 1}
 
 	nOps := 2 + int(d.byte())%40
@@ -105,88 +98,26 @@ func runScenario(t *testing.T, data []byte) []uint64 {
 			}
 			size := int64(1+int(d.byte()))<<16 + int64(d.byte())
 			p := topology.Path{Edges: edges}
-			createdF = append(createdF, fast.StartFlow(p, size, nil))
-			createdR = append(createdR, ref.StartFlow(p, size, nil))
+			created = append(created, n.StartFlow(p, size, nil))
 		case 1: // cancel an earlier flow
-			if len(createdF) > 0 {
-				i := int(d.byte()) % len(createdF)
-				fast.CancelFlow(createdF[i])
-				ref.CancelFlow(createdR[i])
+			if len(created) > 0 {
+				n.CancelFlow(created[int(d.byte())%len(created)])
 			}
 		case 2: // rescale a link (degrade / blackout / recover)
 			eid := topology.EdgeID(int(d.byte()) % nEdges)
 			frac := fracs[int(d.byte())%4]
-			fast.SetLinkScale(eid, frac)
-			ref.SetLinkScale(eid, frac)
+			n.SetLinkScale(eid, frac)
 		case 3: // advance the simulation one event (flow completions)
-			sf, sr := engF.Step(), engR.Step()
-			if sf != sr {
-				t.Fatalf("op %d: Step fast=%v ref=%v", op, sf, sr)
-			}
+			eng.Step()
 		}
-		checkMaxMin(t, fast, op)
-		checkAgreement(t, fast, ref, createdF, createdR, op)
 	}
 
-	bits := make([]uint64, 0, 2*len(createdF)+nEdges)
-	for _, fl := range createdF {
+	bits := make([]uint64, 0, 2*len(created)+nEdges)
+	for _, fl := range created {
 		bits = append(bits, math.Float64bits(fl.Rate()), math.Float64bits(fl.Remaining()))
 	}
 	for e := 0; e < nEdges; e++ {
-		bits = append(bits, math.Float64bits(fast.BytesCarried(topology.EdgeID(e))))
+		bits = append(bits, math.Float64bits(n.BytesCarried(topology.EdgeID(e))))
 	}
 	return bits
-}
-
-// checkMaxMin asserts the allocation on n is max-min fair.
-func checkMaxMin(t *testing.T, n *Network, op int) {
-	t.Helper()
-	const tol = 1e-6
-	for e := 0; e < n.g.NumEdges(); e++ {
-		eid := topology.EdgeID(e)
-		c := n.effectiveCapacity(eid)
-		if r := n.EdgeRate(eid); r > c*(1+tol)+1e-9 {
-			t.Fatalf("op %d: link %d over capacity: rate %g > cap %g", op, e, r, c)
-		}
-	}
-	for _, fl := range n.flows {
-		bottlenecked := false
-		for _, eid := range fl.Path.Edges {
-			c := n.effectiveCapacity(eid)
-			if n.EdgeRate(eid) < c*(1-tol)-1e-9 {
-				continue // not saturated
-			}
-			maxRate := 0.0
-			for _, g := range n.linkFlows[eid] {
-				if g.rate > maxRate {
-					maxRate = g.rate
-				}
-			}
-			if fl.rate >= maxRate*(1-tol)-1e-12 {
-				bottlenecked = true
-				break
-			}
-		}
-		if !bottlenecked {
-			t.Fatalf("op %d: flow %d (rate %g) is not bottlenecked on any saturated path link — allocation is not max-min",
-				op, fl.ID, fl.rate)
-		}
-	}
-}
-
-// checkAgreement asserts the fast and reference allocators are bit-identical.
-func checkAgreement(t *testing.T, fast, ref *Network, cf, cr []*Flow, op int) {
-	t.Helper()
-	if a, b := fast.ActiveFlows(), ref.ActiveFlows(); a != b {
-		t.Fatalf("op %d: ActiveFlows fast=%d ref=%d", op, a, b)
-	}
-	for i := range cf {
-		a, b := cf[i], cr[i]
-		if math.Float64bits(a.Rate()) != math.Float64bits(b.Rate()) {
-			t.Fatalf("op %d: flow %d rate fast=%g ref=%g", op, i, a.Rate(), b.Rate())
-		}
-		if math.Float64bits(a.Remaining()) != math.Float64bits(b.Remaining()) {
-			t.Fatalf("op %d: flow %d remaining fast=%g ref=%g", op, i, a.Remaining(), b.Remaining())
-		}
-	}
 }

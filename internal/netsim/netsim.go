@@ -12,24 +12,22 @@
 // (hardware byte counters, current utilization) to drive the online
 // scheduler.
 //
-// Two water-filling implementations share the Network type. New returns the
-// fast path: each reallocation recomputes rates only over the connected
-// component of links reachable from the edges the triggering change touched
-// (flows elsewhere keep their — still exact — rates), walks flows through a
-// maintained ID-ordered index instead of sorting the flow map, and reuses
-// epoch-stamped scratch buffers so a steady-state reallocation performs no
-// heap allocation of its own. NewReference keeps the original global
-// fixed-point recomputation. Both produce bit-identical rates, completion
-// times, and event orderings — the fast path deliberately issues the same
-// engine Schedule/Reschedule/Cancel sequence, so FIFO tie-breaks cannot drift —
-// proven over long randomized scripts by differential_test.go and fuzzed
-// for max-min invariants by FuzzReallocate.
+// The allocator is incremental: each reallocation recomputes rates only over
+// the connected component of links reachable from the edges the triggering
+// change touched (flows elsewhere keep their — still exact — rates), walks
+// flows through an ID-ordered index, and reuses epoch-stamped scratch buffers
+// so a steady-state reallocation performs no heap allocation of its own. Its
+// rates are bit-identical to a global progressive-filling fixed point over
+// every live flow; that fixed point lives in the package tests as a pure
+// oracle, checked after every reallocation of long randomized scripts
+// (differential_test.go), of fuzzed scripts (FuzzReallocate, which also
+// checks the max-min invariants), and of the pinned golden serving matrix
+// (golden_matrix_test.go).
 package netsim
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"heroserve/internal/sim"
 	"heroserve/internal/telemetry"
@@ -52,12 +50,12 @@ type Flow struct {
 	latency   float64 // fixed path latency, applied after serialization
 	done      func(*Flow)
 	finish    sim.Event // pending completion; zero while stalled or done
-	finishFn  func()    // cached completion thunk (fast path: no per-reallocation closure)
+	finishFn  func()    // cached completion thunk: no per-reallocation closure
 	net       *Network
 	cancelled bool
 
-	// Fast-path water-filling state, valid only while the owning Network's
-	// epoch matches (no clearing pass between reallocations).
+	// Water-filling state, valid only while the owning Network's epoch
+	// matches (no clearing pass between reallocations).
 	compEpoch   uint64
 	frozenEpoch uint64
 }
@@ -73,11 +71,7 @@ type Network struct {
 	g   *topology.Graph
 	eng *sim.Engine
 
-	// ref selects the reference (global, allocating) water-filling path.
-	ref bool
-
-	flows     map[FlowID]*Flow
-	order     []*Flow   // active flows in ascending ID order (fast path index)
+	order     []*Flow   // active flows in ascending ID order
 	linkFlows [][]*Flow // edge id -> active flows crossing it
 	nextID    FlowID
 
@@ -94,8 +88,8 @@ type Network struct {
 
 	perf PerfProbe // nil when self-profiling is off
 
-	// Fast-path scratch, allocated once at New and epoch-stamped instead of
-	// cleared, so reallocation does not allocate. All indexed by edge id.
+	// Water-filling scratch, allocated once at New and epoch-stamped instead
+	// of cleared, so reallocation does not allocate. All indexed by edge id.
 	epoch     uint64
 	linkEpoch []uint64
 	capLeft   []float64
@@ -173,34 +167,16 @@ func (n *Network) linkLabel(eid topology.EdgeID) string {
 	return fmt.Sprintf("%03d:%s-%s", int(eid), a, b)
 }
 
-// New returns a Network over g driven by eng, using the fast incremental
-// water-filling path.
+// New returns a Network over g driven by eng.
 func New(g *topology.Graph, eng *sim.Engine) *Network {
-	n := newNetwork(g, eng)
-	n.linkEpoch = make([]uint64, g.NumEdges())
-	n.capLeft = make([]float64, g.NumEdges())
-	n.count = make([]int, g.NumEdges())
-	return n
-}
-
-// NewReference returns a Network using the original global water-filling
-// implementation: every reallocation recomputes every flow's rate from a
-// fresh fixed point. It is behaviorally identical to New — the differential
-// tests prove bit-exact agreement — and exists as the equivalence oracle
-// and benchmark baseline.
-func NewReference(g *topology.Graph, eng *sim.Engine) *Network {
-	n := newNetwork(g, eng)
-	n.ref = true
-	return n
-}
-
-func newNetwork(g *topology.Graph, eng *sim.Engine) *Network {
 	return &Network{
 		g:            g,
 		eng:          eng,
-		flows:        make(map[FlowID]*Flow),
 		linkFlows:    make([][]*Flow, g.NumEdges()),
 		bytesCarried: make([]float64, g.NumEdges()),
+		linkEpoch:    make([]uint64, g.NumEdges()),
+		capLeft:      make([]float64, g.NumEdges()),
+		count:        make([]int, g.NumEdges()),
 	}
 }
 
@@ -263,7 +239,7 @@ func (n *Network) effectiveCapacity(eid topology.EdgeID) float64 {
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
 // ActiveFlows returns the number of in-flight flows.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
+func (n *Network) ActiveFlows() int { return len(n.order) }
 
 // StartFlow begins transferring size bytes along path. done (may be nil) runs
 // when the last byte has crossed the last hop. A path with no edges (source
@@ -299,11 +275,8 @@ func (n *Network) StartFlow(path topology.Path, size int64, done func(*Flow)) *F
 	}
 
 	n.charge()
-	n.flows[f.ID] = f
-	if !n.ref {
-		f.finishFn = func() { n.finishFlow(f) }
-		n.order = append(n.order, f) // IDs are monotonic: stays sorted
-	}
+	f.finishFn = func() { n.finishFlow(f) }
+	n.order = append(n.order, f) // IDs are monotonic: stays sorted
 	for _, eid := range path.Edges {
 		n.linkFlows[eid] = append(n.linkFlows[eid], f)
 	}
@@ -320,11 +293,10 @@ func (n *Network) CancelFlow(f *Flow) {
 	if n.tel != nil {
 		n.tel.cancelled.Inc()
 	}
-	if _, active := n.flows[f.ID]; !active {
-		f.cancelled = true
+	f.cancelled = true
+	if _, active := n.orderIndex(f); !active {
 		return
 	}
-	f.cancelled = true
 	n.charge()
 	n.remove(f)
 	n.reallocate(f.Path.Edges)
@@ -345,9 +317,24 @@ func (n *Network) complete(f *Flow) {
 	}
 }
 
+// orderIndex returns f's position in the ID-ordered active index and
+// whether f is active (hand-rolled binary search: sort.Search's closure
+// escapes).
+func (n *Network) orderIndex(f *Flow) (int, bool) {
+	lo, hi := 0, len(n.order)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.order[mid].ID < f.ID {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(n.order) && n.order[lo] == f
+}
+
 // remove detaches f from the active sets.
 func (n *Network) remove(f *Flow) {
-	delete(n.flows, f.ID)
 	for _, eid := range f.Path.Edges {
 		lf := n.linkFlows[eid]
 		for i, g := range lf {
@@ -360,22 +347,10 @@ func (n *Network) remove(f *Flow) {
 			}
 		}
 	}
-	if !n.ref {
-		// Binary search by ID (hand-rolled: sort.Search's closure escapes).
-		lo, hi := 0, len(n.order)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if n.order[mid].ID < f.ID {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(n.order) && n.order[lo] == f {
-			copy(n.order[lo:], n.order[lo+1:])
-			n.order[len(n.order)-1] = nil
-			n.order = n.order[:len(n.order)-1]
-		}
+	if i, ok := n.orderIndex(f); ok {
+		copy(n.order[i:], n.order[i+1:])
+		n.order[len(n.order)-1] = nil
+		n.order = n.order[:len(n.order)-1]
 	}
 	n.eng.Cancel(f.finish)
 	f.finish = sim.Event{}
@@ -390,11 +365,7 @@ func (n *Network) charge() {
 	if dt <= 0 {
 		return
 	}
-	active := n.order
-	if n.ref {
-		active = n.orderedFlows()
-	}
-	for _, f := range active {
+	for _, f := range n.order {
 		moved := f.rate * (now - f.lastT)
 		f.remaining -= moved
 		if f.remaining < 0 {
@@ -417,45 +388,15 @@ func (n *Network) charge() {
 	}
 }
 
-// orderedFlows returns the active flows sorted by ID (reference path only;
-// the fast path maintains the same ordering incrementally in n.order). Map
-// iteration order is randomized per run, so every loop whose float
-// accumulation or event scheduling order is observable must walk flows in a
-// deterministic order — otherwise same-seed simulations diverge.
-func (n *Network) orderedFlows() []*Flow {
-	out := make([]*Flow, 0, len(n.flows))
-	for _, f := range n.flows {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // reallocate recomputes flow rates by progressive water-filling (max-min
 // fairness) and reschedules completion events. dirty names the edges touched
 // by the triggering change (the changed flow's path, or a rescaled link);
-// the fast path confines the rate recomputation to their connected
-// component. Completion events are rescheduled for every active flow on both
-// paths — not just the recomputed ones — so the engine sees one and the same
-// sequence of Reschedule and Schedule calls either way and FIFO tie-breaking
-// stays bit-identical.
+// the rate recomputation is confined to their connected component.
+// Completion events are rescheduled for every active flow in ID order — not
+// just the recomputed ones — so the engine's Reschedule/Schedule sequence,
+// and with it FIFO tie-breaking, does not depend on component shapes.
 func (n *Network) reallocate(dirty []topology.EdgeID) {
-	if len(n.flows) == 0 {
-		return
-	}
-	if n.ref {
-		var tok int64
-		if n.perf != nil {
-			tok = n.perf.ReallocStart()
-		}
-		links, flows, rounds := n.refWaterfill()
-		if n.perf != nil {
-			n.perf.ReallocDone(tok, links, flows, rounds)
-		}
-		now := n.eng.Now()
-		for _, f := range n.orderedFlows() {
-			n.retime(f, now)
-		}
+	if len(n.order) == 0 {
 		return
 	}
 	var tok int64
@@ -488,87 +429,21 @@ func (n *Network) retime(f *Flow, now sim.Time) {
 	if n.eng.Reschedule(f.finish, at) {
 		return
 	}
-	fn := f.finishFn
-	if fn == nil { // reference path: a fresh closure per completion event
-		fn = func() { n.finishFlow(f) }
-	}
-	f.finish = n.eng.Schedule(at, fn)
+	f.finish = n.eng.Schedule(at, f.finishFn)
 }
 
-// refWaterfill is the reference allocator: a global progressive
-// water-filling fixed point over every link and flow, rebuilt from scratch
-// (fresh slices, a frozen map, a full edge scan per bottleneck round) on
-// each reallocation. It reports the work done — loaded links, flows, and
-// bottleneck rounds — for the perf probe.
-func (n *Network) refWaterfill() (nLinks, nFlows, rounds int) {
-	// Remaining capacity per link and unfrozen flow count per link, indexed
-	// by edge id so the bottleneck scan below is deterministic (ties go to
-	// the lowest edge id; a map here would break same-seed reproducibility).
-	capLeft := make([]float64, len(n.linkFlows))
-	count := make([]int, len(n.linkFlows))
-	for eid, fl := range n.linkFlows {
-		if len(fl) == 0 {
-			continue
-		}
-		capLeft[eid] = n.effectiveCapacity(topology.EdgeID(eid))
-		count[eid] = len(fl)
-		nLinks++
-	}
-	frozen := make(map[FlowID]bool, len(n.flows))
-	nFlows = len(n.flows)
-
-	for len(frozen) < len(n.flows) {
-		// Find the most constrained link: min fair share among links that
-		// still carry unfrozen flows.
-		bestShare := math.Inf(1)
-		bestLink := topology.EdgeID(-1)
-		for eid, c := range count {
-			if c == 0 {
-				continue
-			}
-			share := capLeft[eid] / float64(c)
-			if share < bestShare {
-				bestShare = share
-				bestLink = topology.EdgeID(eid)
-			}
-		}
-		if bestLink < 0 {
-			// No constrained links left (all remaining flows are zero-edge,
-			// which cannot happen here) — freeze the rest at infinity guard.
-			break
-		}
-		rounds++
-		// Freeze every unfrozen flow on the bottleneck link at the share.
-		for _, f := range n.linkFlows[bestLink] {
-			if frozen[f.ID] {
-				continue
-			}
-			frozen[f.ID] = true
-			f.rate = bestShare
-			for _, eid := range f.Path.Edges {
-				capLeft[eid] -= bestShare
-				if capLeft[eid] < 0 {
-					capLeft[eid] = 0
-				}
-				count[eid]--
-			}
-		}
-	}
-	return nLinks, nFlows, rounds
-}
-
-// waterfillComponent is the fast allocator. Max-min rates decompose over
+// waterfillComponent is the allocator. Max-min rates decompose over
 // connected components of the link-sharing graph: a change confined to one
 // component cannot move any other component's fixed point. So it BFSes the
 // component reachable from the dirty edges (through currently active flows),
-// then runs the same progressive filling as the reference — identical
-// iteration orders over the same slices, hence bit-identical arithmetic —
-// restricted to that component. Flows elsewhere keep their previously
+// then runs progressive filling restricted to that component, walking each
+// bottleneck's flows in linkFlows order just as a global fixed point would —
+// hence bit-identical arithmetic. Flows elsewhere keep their previously
 // computed (still exact) rates. Scratch is epoch-stamped: no clearing, no
 // allocation once the slices have grown to the component's size. It reports
 // the component's size — links, flows, bottleneck rounds — for the perf
-// probe; the distribution of these is exactly what quantifies how much work
-// the incremental path avoids versus the reference's global recomputation.
+// probe; the distribution of these quantifies how much work the incremental
+// recomputation avoids versus a global one.
 func (n *Network) waterfillComponent(dirty []topology.EdgeID) (nLinks, nFlows, rounds int) {
 	n.epoch++
 	ep := n.epoch
@@ -610,9 +485,9 @@ func (n *Network) waterfillComponent(dirty []topology.EdgeID) (nLinks, nFlows, r
 	frozen := 0
 	for frozen < compFlows {
 		// Most constrained component link. links is in BFS order, so the
-		// reference path's lowest-edge-id tie-break is made explicit here:
-		// the result is the lexicographic minimum of (share, edge id),
-		// exactly what the reference's ascending strict-< scan selects.
+		// lowest-edge-id tie-break is made explicit here: the result is the
+		// lexicographic minimum of (share, edge id), exactly what a global
+		// ascending strict-< scan over edge ids selects.
 		bestShare := math.Inf(1)
 		bestLink := topology.EdgeID(-1)
 		for _, eid := range links {

@@ -269,12 +269,6 @@ type Options struct {
 	// golden surface are byte-identical with or without it. Use one Sampler
 	// per run.
 	Perf *perf.Sampler
-
-	// ReferenceNetsim selects the reference (global, allocating)
-	// water-filling allocator instead of the incremental fast path. Output
-	// is bit-identical either way (see internal/netsim); the reference
-	// exists as the differential-testing oracle and benchmark baseline.
-	ReferenceNetsim bool
 }
 
 func (o *Options) setDefaults() {

@@ -128,9 +128,6 @@ func New(g *topology.Graph, dep Deployment, opts Options) (*System, error) {
 	opts.setDefaults()
 	eng := sim.NewEngine()
 	net := netsim.New(g, eng)
-	if opts.ReferenceNetsim {
-		net = netsim.NewReference(g, eng)
-	}
 	var router collective.Router = collective.NewStaticRouter(g)
 	if opts.RouterFactory != nil {
 		router = opts.RouterFactory(net)

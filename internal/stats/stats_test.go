@@ -292,3 +292,17 @@ func TestTimeWeightedDegenerate(t *testing.T) {
 		t.Errorf("Span = %g, want 2", tw.Span())
 	}
 }
+
+func TestFormatFloat(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{0, "0"}, {1.5, "1.5"}, {-2e-7, "-2e-07"}, {1e21, "1e+21"},
+		{math.Inf(1), "+Inf"}, {math.Inf(-1), "-Inf"}, {math.NaN(), "NaN"},
+	} {
+		if got := FormatFloat(tc.v); got != tc.want {
+			t.Errorf("FormatFloat(%v) = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+}

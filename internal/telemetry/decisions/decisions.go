@@ -32,8 +32,9 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
+
+	"heroserve/internal/stats"
 )
 
 // Record kinds.
@@ -45,48 +46,7 @@ const (
 // Float is a float64 that survives JSON round-trips even when non-finite:
 // policy cost tables legitimately contain +Inf (fault-priced-out policies),
 // which encoding/json rejects as a bare number.
-type Float float64
-
-// MarshalJSON implements json.Marshaler.
-func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *Float) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "+Inf":
-			*f = Float(math.Inf(1))
-		case "-Inf":
-			*f = Float(math.Inf(-1))
-		case "NaN":
-			*f = Float(math.NaN())
-		default:
-			return fmt.Errorf("decisions: bad float %q", s)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = Float(v)
-	return nil
-}
+type Float = stats.Float
 
 // CollectiveCandidate is one row of a policy-select counterfactual cost
 // vector: a candidate policy from the group's cost table and its cost at
@@ -652,18 +612,6 @@ func (s *Summary) String() string {
 	return b.String()
 }
 
-// ftsv formats a float for the TSV golden exactly like the Prometheus
-// exposition does, so the golden diff semantics match.
-func ftsv(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // WriteTSV renders the summary as the deterministic TSV the golden gate
 // pins: per-scheme counterfactual totals, per-law shadow verdict counts,
 // and the ledger totals. Byte-identical across same-seed runs.
@@ -673,7 +621,7 @@ func (s *Summary) WriteTSV(w io.Writer) error {
 	b.WriteString("scheme\tchosen\texecuted\tregret_seconds\tunpriced\tabsent\n")
 	for _, st := range s.Schemes {
 		fmt.Fprintf(&b, "%s\t%d\t%d\t%s\t%d\t%d\n",
-			st.Scheme, st.Chosen, st.Executed, ftsv(st.RegretSeconds), st.Unpriced, st.Absent)
+			st.Scheme, st.Chosen, st.Executed, stats.FormatFloat(st.RegretSeconds), st.Unpriced, st.Absent)
 	}
 	b.WriteString("## scale\n")
 	b.WriteString("law\tscale_out\tscale_in\thold\tdisagree\n")
@@ -691,10 +639,10 @@ func (s *Summary) WriteTSV(w io.Writer) error {
 	fmt.Fprintf(&b, "fallbacks\t%d\n", s.Fallbacks)
 	fmt.Fprintf(&b, "stage_swayed\t%d\n", s.StageSwayed)
 	fmt.Fprintf(&b, "stalled\t%d\n", s.Stalled)
-	fmt.Fprintf(&b, "regret_seconds\t%s\n", ftsv(s.TotalRegretSeconds))
+	fmt.Fprintf(&b, "regret_seconds\t%s\n", stats.FormatFloat(s.TotalRegretSeconds))
 	if s.Drift != nil {
 		fmt.Fprintf(&b, "drift_windows\t%d\n", s.Drift.Windows)
-		fmt.Fprintf(&b, "drift_attainment\t%s\n", ftsv(s.Drift.Attainment))
+		fmt.Fprintf(&b, "drift_attainment\t%s\n", stats.FormatFloat(s.Drift.Attainment))
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

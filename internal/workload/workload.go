@@ -174,13 +174,52 @@ func (t *Trace) Encode(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// Decode reads a JSON trace.
+// maxArrival bounds arrival timestamps: from 2^33 s on, the spacing of
+// adjacent float64 values exceeds 1 µs, too coarse for the simulator's
+// sub-microsecond event arithmetic.
+const maxArrival = 1 << 33
+
+// Decode reads a JSON trace and validates it: request IDs must be unique,
+// arrivals finite, in [0, 2^33) seconds and non-decreasing (so Duration is
+// the true horizon), and every request needs at least one input and one
+// output token.
 func Decode(r io.Reader) (*Trace, error) {
 	var t Trace
 	if err := json.NewDecoder(r).Decode(&t); err != nil {
 		return nil, fmt.Errorf("workload: decode trace: %w", err)
 	}
+	if err := t.validate(); err != nil {
+		return nil, err
+	}
 	return &t, nil
+}
+
+// validate reports the first request that breaks Decode's rules, naming its
+// index and ID.
+func (t *Trace) validate() error {
+	seen := make(map[int]bool, len(t.Requests))
+	prev := 0.0
+	for i, req := range t.Requests {
+		var problem string
+		switch a := req.Arrival; {
+		case seen[req.ID]:
+			problem = "duplicate id"
+		case math.IsNaN(a) || math.IsInf(a, 0) || a < 0:
+			problem = fmt.Sprintf("arrival %v is not a finite non-negative time", a)
+		case a >= maxArrival:
+			problem = fmt.Sprintf("arrival %v s is not below 2^33 s", a)
+		case a < prev:
+			problem = fmt.Sprintf("arrival %v precedes the previous request's %v", a, prev)
+		case req.Input < 1 || req.Output < 1:
+			problem = fmt.Sprintf("input %d and output %d tokens, want both >= 1", req.Input, req.Output)
+		}
+		if problem != "" {
+			return fmt.Errorf("workload: request %d (id %d): %s", i, req.ID, problem)
+		}
+		seen[req.ID] = true
+		prev = req.Arrival
+	}
+	return nil
 }
 
 // Estimator maintains the moving-average K_in/K_out estimates the online

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"heroserve/internal/stats"
@@ -152,6 +153,45 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if _, err := Decode(bytes.NewReader([]byte("{bad"))); err == nil {
 		t.Error("bad JSON accepted")
+	}
+}
+
+// TestDecodeRejectsInvalidTraces feeds Decode one malformed request per case
+// and requires an error naming the offending request's index and ID.
+func TestDecodeRejectsInvalidTraces(t *testing.T) {
+	const ok0 = `{"id": 0, "arrival": 0.5, "input": 8, "output": 8}`
+	for _, tc := range []struct {
+		name, bad, want string
+	}{
+		{"duplicate id", `{"id": 0, "arrival": 1, "input": 8, "output": 8}`, "duplicate id"},
+		{"negative arrival", `{"id": 1, "arrival": -0.2, "input": 8, "output": 8}`, "not a finite non-negative time"},
+		{"huge arrival", `{"id": 1, "arrival": 1e308, "input": 8, "output": 8}`, "not below 2^33 s"},
+		{"arrival at 2^33", `{"id": 1, "arrival": 8589934592, "input": 8, "output": 8}`, "not below 2^33 s"},
+		{"decreasing arrival", `{"id": 1, "arrival": 0.25, "input": 8, "output": 8}`, "precedes the previous request's 0.5"},
+		{"zero input", `{"id": 1, "arrival": 1, "input": 0, "output": 8}`, "want both >= 1"},
+		{"zero output", `{"id": 1, "arrival": 1, "input": 8, "output": 0}`, "want both >= 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			js := `{"name": "bad", "requests": [` + ok0 + `, ` + tc.bad + `]}`
+			_, err := Decode(strings.NewReader(js))
+			if err == nil {
+				t.Fatal("invalid trace accepted")
+			}
+			if !strings.Contains(err.Error(), "request 1 (id ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name request 1 and %q", err, tc.want)
+			}
+		})
+	}
+	// JSON cannot spell NaN or ±Inf, but a trace built in code can.
+	for _, a := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tr := &Trace{Requests: []Request{{ID: 4, Arrival: a, Input: 8, Output: 8}}}
+		if err := tr.validate(); err == nil || !strings.Contains(err.Error(), "request 0 (id 4)") {
+			t.Errorf("arrival %v: error %v, want one naming request 0 (id 4)", a, err)
+		}
+	}
+	valid := `{"name": "ok", "requests": [` + ok0 + `, {"id": 1, "arrival": 0.5, "input": 1, "output": 1}]}`
+	if _, err := Decode(strings.NewReader(valid)); err != nil {
+		t.Errorf("valid trace rejected: %v", err)
 	}
 }
 

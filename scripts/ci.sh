@@ -21,11 +21,13 @@ go build ./...
 echo "== go test -race"
 go test -race -timeout 45m ./... "$@"
 
-# Fuzz smoke: a short native-fuzzing pass over three equivalences — the
-# event engine against its container/heap oracle, the critpath sweep against
-# its direct oracle, and the trace encoder against encoding/json.
+# Fuzz smoke: a short native-fuzzing pass over four equivalences — the
+# event engine against its container/heap oracle, the water-filling
+# allocator against its global fixed-point oracle, the critpath sweep
+# against its direct oracle, and the trace encoder against encoding/json.
 echo "== fuzz smoke"
 go test -run '^$' -fuzz '^FuzzEngine$' -fuzztime 10s ./internal/sim/
+go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim/
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath/
 go test -run '^$' -fuzz '^FuzzAppendEvent$' -fuzztime 10s ./internal/telemetry/
 
@@ -143,13 +145,6 @@ go run ./cmd/perfstat -diff "$ART/perf.json" "$ART/perf.json" | grep -q 'events/
 # artifact dir for upload.
 echo "== golden metrics"
 GOLDEN_DIFF_DIR="$ART/golden-diff" scripts/golden.sh check
-
-# Fast-vs-reference equivalence gate: the same matrix forced onto the
-# reference water-filling allocator (-netsim-ref) must hit the SAME goldens.
-# A failure here means the incremental water-filling diverged behaviourally
-# from its reference implementation.
-echo "== golden metrics (reference water-filling)"
-GOLDEN_DIFF_DIR="$ART/golden-ref-diff" scripts/golden.sh refcheck
 
 # Benchmark regression tripwire: re-run the pinned benches (including the
 # 100k-request stress trio) briefly and WARN (never fail by default — shared

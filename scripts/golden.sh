@@ -7,13 +7,14 @@
 # sharper signal than test pass/fail.
 #
 #   scripts/golden.sh check    # run the pinned matrix, diff against goldens
-#   scripts/golden.sh refcheck # same matrix forced onto the reference
-#                              # water-filling allocator (-netsim-ref); must
-#                              # match the SAME goldens — proving the fast
-#                              # incremental water-filling is behaviourally
-#                              # identical
 #   scripts/golden.sh regen    # refresh testdata/golden/ after an
 #                              # INTENTIONAL behaviour change (review the diff!)
+#
+# The same matrix also runs in process as TestGoldenMatrixMatchesOracle
+# (internal/netsim), which checks every water-filling reallocation of each
+# case against the allocator's global oracle and requires the run's
+# exposition to reproduce the .prom golden here. A change to the cases below
+# must be mirrored there.
 #
 # Normalization: metrics.prom lines are sorted (LC_ALL=C) so the comparison
 # is insensitive to family ordering; values are already timestamp-free
@@ -29,30 +30,20 @@
 # Each case further pins the decision-ledger summary ($name.decisions.tsv,
 # rendered by decisionstat -tsv from the run's -decisions-out export): the
 # per-scheme counterfactual regret totals and the scale laws' shadow verdict
-# matrix. Under refcheck the reference allocator must reproduce the
-# SAME decision ledgers — counterfactual costs included — bit for bit.
+# matrix.
 #
 # Each case finally pins the SLO alert log ($name.alerts.tsv, rendered by
 # alertstat -tsv from the run's -alerts-out export): every alert's lifecycle
-# stamps and the per-rule roll-up. Refcheck identity applies here too — the
-# reference allocator must fire and resolve the SAME alerts at the SAME
-# sim-times.
+# stamps and the per-rule roll-up.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GOLDEN_DIR=testdata/golden
 OUT_DIR="${GOLDEN_OUT_DIR:-$(mktemp -d)}"
 mode="${1:-}"
-if [[ "$mode" != "check" && "$mode" != "refcheck" && "$mode" != "regen" ]]; then
-	echo "usage: scripts/golden.sh check|refcheck|regen" >&2
+if [[ "$mode" != "check" && "$mode" != "regen" ]]; then
+	echo "usage: scripts/golden.sh check|regen" >&2
 	exit 2
-fi
-
-# refcheck pins the reference allocator to the same goldens the fast path
-# produces: any divergence between the two is a gate failure.
-EXTRA_SV=""
-if [[ "$mode" == "refcheck" ]]; then
-	EXTRA_SV="-netsim-ref"
 fi
 
 BIN="$OUT_DIR/bin"
@@ -95,7 +86,7 @@ produce() {
 	# report itself is nondeterministic wall-clock data (never compared), but
 	# producing the goldens WITH sampling enabled is the standing proof that
 	# the sampler perturbs no golden surface.
-	"$BIN/serve" -trace "$OUT_DIR/$name.trace.json" $sv $EXTRA_SV \
+	"$BIN/serve" -trace "$OUT_DIR/$name.trace.json" $sv \
 		-metrics-out "$OUT_DIR/$name.raw.prom" \
 		-trace-out "$OUT_DIR/$name.spans.json" \
 		-decisions-out "$OUT_DIR/$name.decisions.json" \
@@ -163,10 +154,7 @@ while IFS='|' read -r name tg sv; do
 	fi
 done < <(cases)
 
-if [[ "$mode" == "refcheck" && $status -ne 0 ]]; then
-	echo "golden: REFERENCE allocator diverged from the committed goldens — the fast" >&2
-	echo "golden: and reference water-filling implementations no longer agree." >&2
-elif [[ "$mode" != "regen" && $status -ne 0 ]]; then
+if [[ "$mode" != "regen" && $status -ne 0 ]]; then
 	echo "golden: metrics drifted from testdata/golden/." >&2
 	echo "golden: if the change is intentional, run scripts/golden.sh regen and commit the result." >&2
 fi
