@@ -221,17 +221,20 @@ type SLA struct {
 	TPOT float64 // time-per-output-token bound, seconds
 }
 
+const (
+	// maxPrefillTokens caps the token budget of one prefill batch
+	// (continuous batching with a chunk budget).
+	maxPrefillTokens = 8192
+	// kvSampleEvery is how many decode iterations pass between
+	// KV-utilization samples.
+	kvSampleEvery = 8
+)
+
 // Options tunes the serving simulator.
 type Options struct {
-	// MaxPrefillTokens caps the token budget of one prefill batch
-	// (continuous batching with a chunk budget). Default 8192.
-	MaxPrefillTokens int
 	// MaxDecodeBatch caps the number of concurrently decoding requests per
 	// instance. Default 64.
 	MaxDecodeBatch int
-	// KVSampleEvery controls how many decode iterations pass between
-	// KV-utilization samples. Default 8.
-	KVSampleEvery int
 	// Policy is the communication policy. Default PlannedPolicy.
 	Policy CommPolicy
 	// Autoscale, when non-nil, enables decode-instance scaling in/out (the
@@ -272,14 +275,8 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
-	if o.MaxPrefillTokens == 0 {
-		o.MaxPrefillTokens = 8192
-	}
 	if o.MaxDecodeBatch == 0 {
 		o.MaxDecodeBatch = 64
-	}
-	if o.KVSampleEvery == 0 {
-		o.KVSampleEvery = 8
 	}
 	if o.Policy == nil {
 		o.Policy = PlannedPolicy{}

@@ -519,7 +519,7 @@ func (s *System) maybeStartPrefill(pi *prefillInstance) {
 	for len(pi.queue) > 0 {
 		r := pi.queue[0]
 		in := int64(r.req.Input)
-		if len(batch) > 0 && kin+in > int64(s.opts.MaxPrefillTokens) {
+		if len(batch) > 0 && kin+in > maxPrefillTokens {
 			break
 		}
 		pi.queue = pi.queue[1:]
@@ -738,7 +738,7 @@ func (s *System) finishIteration(di *decodeInstance) {
 	if completedAny {
 		di.telOcc.Set(float64(len(di.running)))
 	}
-	if completedAny || di.iterations%int64(s.opts.KVSampleEvery) == 0 {
+	if completedAny || di.iterations%kvSampleEvery == 0 {
 		di.recordKV(s.eng.Now())
 	}
 	s.admitDecode(di)

@@ -293,10 +293,13 @@ func (l *Ledger) WriteJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// ReadJSON parses a ledger written by WriteJSON.
+// ReadJSON parses a ledger written by WriteJSON. Unknown fields are errors,
+// so another artefact (an alert log, a perf report) is rejected instead of
+// decoding as an empty ledger.
 func ReadJSON(r io.Reader) (*Ledger, error) {
 	var l Ledger
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&l); err != nil {
 		return nil, fmt.Errorf("decisions: %w", err)
 	}

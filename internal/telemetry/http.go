@@ -36,38 +36,51 @@ type RunSummary struct {
 }
 
 // Server exposes a Hub over HTTP: /metrics (Prometheus text exposition),
-// /healthz, /runs (completed-run summaries as JSON), and /trace (the current
-// trace snapshot as Chrome trace-event JSON).
+// /healthz, /runs (completed-run summaries as JSON), /trace (the current
+// trace snapshot as Chrome trace-event JSON), and the named JSON documents
+// registered with Document (the decision ledger, alert log, perf report).
 //
 // The Registry and Tracer are single-goroutine structures owned by the
 // simulation loop, so the Server never reads them directly. Instead the
 // simulation goroutine renders immutable snapshots at safe points — between
-// events or between runs — via PublishHub, and handlers serve the latest
-// snapshot under a read lock. Scrapers therefore observe a consistent,
-// slightly stale view and can never race the event loop.
+// events or between runs — via PublishHub and Publish, and handlers serve
+// the latest snapshot under a read lock. Scrapers therefore observe a
+// consistent, slightly stale view and can never race the event loop.
 type Server struct {
-	mu         sync.RWMutex
-	simTime    float64
-	published  int
-	prom       []byte
-	om         []byte // OpenMetrics rendering of the same snapshot
-	trace      []byte
-	traceFile  string
-	runs       []RunSummary
-	snaps      [][]byte // per-run metric snapshots (index parallels runs), for /runs/diff
-	decs       []byte   // latest published decision ledger (JSON), for /decisions
-	decSnaps   [][]byte // per-run decision-ledger snapshots (index parallels runs)
-	alerts     []byte   // latest published alert log (JSON), for /alerts
-	alertSnaps [][]byte // per-run alert-log snapshots (index parallels runs)
-	firing     int      // firing alerts in the latest published log
-	worstSev   string   // worst firing severity, "" when none
-	maxRuns    int      // run-history retention cap (0 = unbounded)
-	runBase    int      // completed runs evicted from the front of the history
-	handlers   map[string]http.Handler
+	mu        sync.RWMutex
+	simTime   float64
+	published int
+	prom      []byte
+	om        []byte // OpenMetrics rendering of the same snapshot
+	trace     []byte
+	traceFile string
+	runs      []run           // retained completed runs, oldest first
+	docs      map[string]*doc // named document routes, keyed by path
+	firing    int             // firing alerts in the latest published log
+	worstSev  string          // worst firing severity, "" when none
+	maxRuns   int             // run-history retention cap (0 = unbounded)
+	runBase   int             // completed runs evicted from the front of the history
+	handlers  map[string]http.Handler
+}
+
+// run is one retained completed run: its summary plus the metric snapshot
+// (for /runs/diff) and every document (for ?run=) captured at AddRun.
+type run struct {
+	summary RunSummary
+	prom    []byte
+	docs    map[string][]byte
+}
+
+// doc is one named document route: what it holds (for the 404 before its
+// first Publish), its query filter, and the latest published bytes.
+type doc struct {
+	what   string
+	filter DocFilter
+	latest []byte
 }
 
 // NewServer returns an empty Server; install it as an http.Handler.
-func NewServer() *Server { return &Server{} }
+func NewServer() *Server { return &Server{docs: make(map[string]*doc)} }
 
 // PublishHub renders a snapshot of the hub's metrics — and, unless the
 // tracer is streaming to disk, its trace — and stores it for the handlers.
@@ -102,8 +115,8 @@ func (s *Server) PublishHub(h *Hub) error {
 }
 
 // SetMaxRuns bounds the run history: once more than n completed runs are
-// held, AddRun evicts the oldest run (summary plus its metric, decision, and
-// alert snapshots). Run IDs stay stable across evictions — /runs/diff and
+// held, AddRun evicts the oldest run (summary plus its metric and document
+// snapshots). Run IDs stay stable across evictions — /runs/diff and
 // the per-run snapshot filters keep addressing surviving runs by their
 // original IDs. n <= 0 means unbounded (the default).
 func (s *Server) SetMaxRuns(n int) {
@@ -113,35 +126,38 @@ func (s *Server) SetMaxRuns(n int) {
 }
 
 // AddRun records a completed run for /runs, assigning it the next sequential
-// ID, and captures the latest published metric snapshot as the run's state
-// for /runs/diff — so callers should PublishHub first, then AddRun. Safe to
-// call from the goroutine driving the runs. Returns how many old runs the
-// retention cap evicted (0 without SetMaxRuns).
+// ID, and captures the latest published metric snapshot (the run's state for
+// /runs/diff) and every published document (for ?run=) — so callers should
+// PublishHub and Publish first, then AddRun. Safe to call from the goroutine
+// driving the runs. Returns how many old runs the retention cap evicted (0
+// without SetMaxRuns).
 func (s *Server) AddRun(r RunSummary) (evicted int) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	r.ID = s.runBase + len(s.runs) + 1
-	s.runs = append(s.runs, r)
-	s.snaps = append(s.snaps, s.prom)
-	s.decSnaps = append(s.decSnaps, s.decs)
-	s.alertSnaps = append(s.alertSnaps, s.alerts)
+	docs := make(map[string][]byte, len(s.docs))
+	for path, d := range s.docs {
+		docs[path] = d.latest
+	}
+	s.runs = append(s.runs, run{summary: r, prom: s.prom, docs: docs})
 	for s.maxRuns > 0 && len(s.runs) > s.maxRuns {
+		s.runs[0] = run{} // release the evicted snapshots
 		s.runs = s.runs[1:]
-		s.snaps = s.snaps[1:]
-		s.decSnaps = s.decSnaps[1:]
-		s.alertSnaps = s.alertSnaps[1:]
 		s.runBase++
 		evicted++
 	}
-	s.mu.Unlock()
 	return evicted
 }
 
-// runSnapshot resolves a run ID against the retained history under the
-// caller's lock: index into the parallel snapshot slices, or ok=false when
-// the ID was never assigned or has been evicted.
-func (s *Server) runSnapshot(id int) (idx int, ok bool) {
-	idx = id - 1 - s.runBase
-	return idx, id >= 1 && idx >= 0 && idx < len(s.runs)
+// runAt resolves a run ID against the retained history under the caller's
+// lock: the run, or ok=false when the ID was never assigned or has been
+// evicted. A run's snapshots are immutable, so the copy outlives the lock.
+func (s *Server) runAt(id int) (r run, ok bool) {
+	idx := id - 1 - s.runBase
+	if id < 1 || idx < 0 || idx >= len(s.runs) {
+		return run{}, false
+	}
+	return s.runs[idx], true
 }
 
 // runRangeError describes the retained run-ID window for 404 messages.
@@ -162,8 +178,8 @@ func (s *Server) SetTraceFile(path string) {
 }
 
 // Handle registers a custom route consulted before the 404 fallback —
-// how packages layered above telemetry (e.g. internal/telemetry/slo's
-// /alerts handler) extend the daemon without an import cycle. A path ending
+// how packages layered above telemetry (e.g. internal/telemetry/perf's
+// pprof handlers) extend the daemon without an import cycle. A path ending
 // in "/" is a prefix route: it matches itself and everything below it
 // (longest prefix wins), which is what subtree handlers like net/http/pprof
 // need. Register before serving; built-in routes cannot be overridden.
@@ -176,11 +192,15 @@ func (s *Server) Handle(path string, h http.Handler) {
 	s.mu.Unlock()
 }
 
-// lookupHandler resolves a request path against the custom routes: exact
-// match first, then the longest registered "/"-terminated prefix.
+// lookupHandler resolves a request path against the document and custom
+// routes: exact match first, then the longest registered "/"-terminated
+// prefix.
 func (s *Server) lookupHandler(path string) http.Handler {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if _, ok := s.docs[path]; ok {
+		return http.HandlerFunc(s.serveDoc)
+	}
 	if h, ok := s.handlers[path]; ok {
 		return h
 	}
@@ -205,8 +225,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.serveRuns(w)
 	case "/runs/diff":
 		s.serveRunsDiff(w, r)
-	case "/decisions":
-		s.serveDecisions(w, r)
 	case "/trace":
 		s.serveTrace(w)
 	default:
@@ -262,11 +280,11 @@ func (s *Server) serveHealthz(w http.ResponseWriter) {
 
 func (s *Server) serveRuns(w http.ResponseWriter) {
 	s.mu.RLock()
-	runs := s.runs
-	s.mu.RUnlock()
-	if runs == nil {
-		runs = []RunSummary{}
+	runs := make([]RunSummary, len(s.runs))
+	for i, r := range s.runs {
+		runs[i] = r.summary
 	}
+	s.mu.RUnlock()
 	writeJSON(w, runs)
 }
 
@@ -325,22 +343,15 @@ func (s *Server) serveRunsDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.RLock()
-	idxA, okA := s.runSnapshot(a)
-	idxB, okB := s.runSnapshot(b)
-	var snapA, snapB []byte
-	if okA {
-		snapA = s.snaps[idxA]
-	}
-	if okB {
-		snapB = s.snaps[idxB]
-	}
+	runA, okA := s.runAt(a)
+	runB, okB := s.runAt(b)
 	rangeMsg := s.runRangeError()
 	s.mu.RUnlock()
 	if !okA || !okB {
 		writeJSONError(w, http.StatusNotFound, rangeMsg)
 		return
 	}
-	sa, sb := parseSeries(snapA), parseSeries(snapB)
+	sa, sb := parseSeries(runA.prom), parseSeries(runB.prom)
 	if q.Get("view") == "critpath" {
 		writeJSON(w, critPathDiff(a, b, sa, sb))
 		return

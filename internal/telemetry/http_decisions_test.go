@@ -1,14 +1,32 @@
-package telemetry
+// The /decisions route's filter lives in package decisions, which imports
+// telemetry, so this test is an external one.
+package telemetry_test
 
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"heroserve/internal/telemetry"
 	"heroserve/internal/telemetry/decisions"
 )
+
+func get(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
 
 // ledgerDoc serializes a small two-kind ledger for the endpoint tests.
 func ledgerDoc(t *testing.T) ([]byte, *decisions.Ledger) {
@@ -35,23 +53,28 @@ func ledgerDoc(t *testing.T) ([]byte, *decisions.Ledger) {
 	return buf.Bytes(), l
 }
 
-// TestServerDecisions drives /decisions: 404 before publication, verbatim
-// bytes without filters, server-side filtering, per-run snapshots, and the
-// error paths.
+// TestServerDecisions drives the /decisions document route: a JSON 404
+// before publication, verbatim bytes without filters, server-side filtering,
+// per-run snapshots, and the error paths.
 func TestServerDecisions(t *testing.T) {
-	srv := NewServer()
+	srv := telemetry.NewServer()
+	srv.Document("/decisions", "decision ledger", decisions.HTTPFilter)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, _ := get(t, ts.URL+"/decisions")
+	resp, body := get(t, ts.URL+"/decisions")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/decisions before publish: status %d, want 404", resp.StatusCode)
 	}
+	var e map[string]string
+	if err := json.Unmarshal(body, &e); err != nil || e["error"] != "no decision ledger published yet" {
+		t.Errorf("404 body: %s (%v)", body, err)
+	}
 
 	doc, _ := ledgerDoc(t)
-	srv.PublishDecisions(doc)
+	srv.Publish("/decisions", doc)
 
-	resp, body := get(t, ts.URL+"/decisions")
+	resp, body = get(t, ts.URL+"/decisions")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/decisions status %d: %s", resp.StatusCode, body)
 	}
@@ -82,30 +105,40 @@ func TestServerDecisions(t *testing.T) {
 		t.Errorf("time filter returned %d records", len(led.Collective))
 	}
 
-	for path, want := range map[string]int{
-		"/decisions?kind=bogus": http.StatusBadRequest,
-		"/decisions?from=x":     http.StatusBadRequest,
-		"/decisions?to=x":       http.StatusBadRequest,
-		"/decisions?run=9":      http.StatusNotFound,
-		"/decisions?run=x":      http.StatusNotFound,
+	for path, want := range map[string]struct {
+		code int
+		msg  string
+	}{
+		"/decisions?kind=bogus": {http.StatusBadRequest, "bad kind: want collective or scale"},
+		"/decisions?from=x":     {http.StatusBadRequest, "bad from"},
+		"/decisions?to=x":       {http.StatusBadRequest, "bad to"},
+		"/decisions?run=9":      {http.StatusNotFound, "no completed runs retained"},
+		"/decisions?run=x":      {http.StatusNotFound, "no completed runs retained"},
 	} {
-		resp, _ := get(t, ts.URL+path)
-		if resp.StatusCode != want {
-			t.Errorf("%s status %d, want %d", path, resp.StatusCode, want)
+		resp, body := get(t, ts.URL+path)
+		if resp.StatusCode != want.code {
+			t.Errorf("%s status %d, want %d", path, resp.StatusCode, want.code)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json; charset=utf-8" {
+			t.Errorf("%s content type %q", path, ct)
+		}
+		e = nil
+		if err := json.Unmarshal(body, &e); err != nil || e["error"] != want.msg {
+			t.Errorf("%s body %s, want error %q", path, body, want.msg)
 		}
 	}
 
 	// Per-run snapshots: AddRun captures the ledger published before it.
-	h := New()
+	h := telemetry.New()
 	if err := srv.PublishHub(h); err != nil {
 		t.Fatal(err)
 	}
-	srv.AddRun(RunSummary{System: "heroserve"})
-	srv.PublishDecisions([]byte(`{"meta":{},"collective":[],"scale":[]}`))
+	srv.AddRun(telemetry.RunSummary{System: "heroserve"})
+	srv.Publish("/decisions", []byte(`{"meta":{},"collective":[],"scale":[]}`))
 	if err := srv.PublishHub(h); err != nil {
 		t.Fatal(err)
 	}
-	srv.AddRun(RunSummary{System: "distserve"})
+	srv.AddRun(telemetry.RunSummary{System: "distserve"})
 
 	_, body = get(t, ts.URL+"/decisions?run=1")
 	if !bytes.Equal(body, doc) {
@@ -114,69 +147,5 @@ func TestServerDecisions(t *testing.T) {
 	_, body = get(t, ts.URL+"/decisions?run=2&kind=scale")
 	if led := decode(body); led.Len() != 0 {
 		t.Errorf("run=2 filtered ledger has %d records, want 0", led.Len())
-	}
-}
-
-// TestServerRunsDiffCritPath exercises /runs/diff?view=critpath: the raw
-// series diff collapses to a per-stage delta table of the two critical-path
-// partitions.
-func TestServerRunsDiffCritPath(t *testing.T) {
-	clock := 1.0
-	h := New()
-	h.Attach(func() float64 { return clock }, "planned")
-	ttftQ := h.Metrics.Counter("ttft_critical_path_seconds_total", "TTFT critical path.", []string{"stage"}, "queue")
-	e2eQ := h.Metrics.Counter("e2e_critical_path_seconds_total", "E2E critical path.", []string{"stage"}, "queue")
-	e2eD := h.Metrics.Counter("e2e_critical_path_seconds_total", "E2E critical path.", []string{"stage"}, "decode-compute")
-	srv := NewServer()
-
-	ttftQ.Add(1.5)
-	e2eQ.Add(2)
-	e2eD.Add(10)
-	if err := srv.PublishHub(h); err != nil {
-		t.Fatal(err)
-	}
-	srv.AddRun(RunSummary{System: "heroserve"})
-
-	ttftQ.Add(0.5)
-	e2eD.Add(5)
-	if err := srv.PublishHub(h); err != nil {
-		t.Fatal(err)
-	}
-	srv.AddRun(RunSummary{System: "heroserve"})
-
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	resp, body := get(t, ts.URL+"/runs/diff?a=1&b=2&view=critpath")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("critpath view status %d: %s", resp.StatusCode, body)
-	}
-	var diff CritPathDiff
-	if err := json.Unmarshal(body, &diff); err != nil {
-		t.Fatalf("critpath view not JSON: %v", err)
-	}
-	if diff.A != 1 || diff.B != 2 {
-		t.Errorf("ids = %d,%d", diff.A, diff.B)
-	}
-	if len(diff.Stages) != 2 {
-		t.Fatalf("stages = %+v, want decode-compute and queue", diff.Stages)
-	}
-	// Sorted by stage name: decode-compute first.
-	d := diff.Stages[0]
-	if d.Stage != "decode-compute" || d.E2EA != 10 || d.E2EB != 15 || d.E2EDelta != 5 {
-		t.Errorf("decode-compute delta = %+v", d)
-	}
-	q := diff.Stages[1]
-	if q.Stage != "queue" || q.TTFTA != 1.5 || q.TTFTB != 2 || q.TTFTDelta != 0.5 {
-		t.Errorf("queue TTFT delta = %+v", q)
-	}
-	if q.E2EA != 2 || q.E2EB != 2 || q.E2EDelta != 0 {
-		t.Errorf("queue E2E delta = %+v", q)
-	}
-
-	// Unknown views are rejected.
-	resp, _ = get(t, ts.URL+"/runs/diff?a=1&b=2&view=bogus")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bogus view status %d, want 400", resp.StatusCode)
 	}
 }

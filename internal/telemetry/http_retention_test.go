@@ -14,6 +14,7 @@ import (
 func TestServerRunRetention(t *testing.T) {
 	srv := NewServer()
 	srv.SetMaxRuns(2)
+	srv.Document("/decisions", "decision ledger", DocFilter{})
 	h := New()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -143,11 +144,11 @@ func TestServerHealthzDegraded(t *testing.T) {
 	if st, firing, worst := read(); st != "ok" || firing != 0 || worst != "none" {
 		t.Fatalf("fresh server: %s/%d/%s", st, firing, worst)
 	}
-	srv.PublishAlerts([]byte(`{}`), 2, "warning")
+	srv.SetFiring(2, "warning")
 	if st, firing, worst := read(); st != "degraded" || firing != 2 || worst != "warning" {
 		t.Fatalf("firing: %s/%d/%s", st, firing, worst)
 	}
-	srv.PublishAlerts([]byte(`{}`), 0, "")
+	srv.SetFiring(0, "")
 	if st, firing, worst := read(); st != "ok" || firing != 0 || worst != "none" {
 		t.Fatalf("recovered: %s/%d/%s", st, firing, worst)
 	}

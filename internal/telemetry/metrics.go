@@ -17,7 +17,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -399,88 +398,4 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return h.sum
-}
-
-// WriteProm writes the registry in the Prometheus text exposition format.
-// Output is deterministic: families sorted by name, children sorted by label
-// values, floats formatted by strconv. Gauges are advanced to the current
-// sim-time first so their time-averages cover the full run.
-func (r *Registry) WriteProm(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	now := r.clock()
-	var b strings.Builder
-	for _, name := range names {
-		f := r.fams[name]
-		keys := append([]string(nil), f.order...)
-		sort.Strings(keys)
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		var timeavg strings.Builder
-		for _, key := range keys {
-			c := f.childs[key]
-			switch f.kind {
-			case kindCounter:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, c.values), stats.FormatFloat(c.ctr.v))
-			case kindGauge:
-				c.gauge.tw.Advance(now)
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, c.values), stats.FormatFloat(c.gauge.tw.Value()))
-				fmt.Fprintf(&timeavg, "%s_timeavg%s %s\n", f.name, labelString(f.labels, c.values), stats.FormatFloat(c.gauge.tw.Mean()))
-			case kindHistogram:
-				var cum uint64
-				for i, ub := range f.buckets {
-					cum += c.hist.counts[i]
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-						labelString(append(f.labels, "le"), append(c.values, stats.FormatFloat(ub))), cum)
-				}
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-					labelString(append(f.labels, "le"), append(c.values, "+Inf")), c.hist.n)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, labelString(f.labels, c.values), stats.FormatFloat(c.hist.sum))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, labelString(f.labels, c.values), c.hist.n)
-			}
-		}
-		if timeavg.Len() > 0 {
-			fmt.Fprintf(&b, "# HELP %s_timeavg Time-weighted mean of %s over the run.\n", f.name, f.name)
-			fmt.Fprintf(&b, "# TYPE %s_timeavg gauge\n", f.name)
-			b.WriteString(timeavg.String())
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func labelString(labels, values []string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(values[i]))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-func escapeHelp(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, "\n", `\n`)
 }

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"bytes"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -25,13 +26,16 @@ func get(t *testing.T, srv *telemetry.Server, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// TestPerfEndpoint serves a report through the daemon's /perf document
+// route: a JSON 404 before publication, the published report after, and a
+// per-run snapshot once the run is recorded.
 func TestPerfEndpoint(t *testing.T) {
 	srv := telemetry.NewServer()
-	pub := InstallPerf(srv)
+	srv.Document("/perf", "perf report", telemetry.DocFilter{})
 
-	code, _ := get(t, srv, "/perf")
-	if code != 404 {
-		t.Fatalf("/perf before publish: code %d, want 404", code)
+	code, body := get(t, srv, "/perf")
+	if code != 404 || body != `{"error":"no perf report published yet"}`+"\n" {
+		t.Fatalf("/perf before publish: code %d body %q, want a JSON 404", code, body)
 	}
 
 	s, _ := newTestSampler(2)
@@ -40,15 +44,23 @@ func TestPerfEndpoint(t *testing.T) {
 		s.EndEvent(s.BeginEvent(float64(i)))
 	}
 	s.Finish(8)
-	if err := pub.Publish(s.Report("unit")); err != nil {
+	var buf bytes.Buffer
+	if err := s.Report("unit").WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	code, body := get(t, srv, "/perf")
-	if code != 200 {
-		t.Fatalf("/perf after publish: code %d", code)
+	srv.Publish("/perf", buf.Bytes())
+	srv.AddRun(telemetry.RunSummary{System: "unit"})
+	for _, path := range []string{"/perf", "/perf?run=1"} {
+		code, body = get(t, srv, path)
+		if code != 200 {
+			t.Fatalf("%s after publish: code %d", path, code)
+		}
+		if !strings.Contains(body, Schema) || !strings.Contains(body, `"events": 8`) {
+			t.Fatalf("unexpected %s body: %s", path, body)
+		}
 	}
-	if !strings.Contains(body, Schema) || !strings.Contains(body, `"events": 8`) {
-		t.Fatalf("unexpected /perf body: %s", body)
+	if code, body = get(t, srv, "/perf?run=2"); code != 404 || !strings.Contains(body, "have runs 1..1") {
+		t.Fatalf("/perf?run=2: code %d body %s, want the retention 404", code, body)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Schema identifies the perf report's JSON layout; bump on incompatible
-// change so perfstat can reject files it does not understand.
+// change so hstat perf can reject files it does not understand.
 const Schema = "heroserve-perf/1"
 
 // Phases is the per-phase wall-clock split of one run. Engine covers the
@@ -61,7 +61,7 @@ type NetsimReport struct {
 }
 
 // Report is one run's rendered perf observation: the -perf-out document, the
-// /perf payload, and perfstat's input. All wall-clock derived fields are
+// /perf payload, and hstat perf's input. All wall-clock derived fields are
 // nondeterministic by nature, which is why the report lives strictly outside
 // every golden surface.
 type Report struct {
@@ -191,9 +191,9 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // ReadReport parses and validates one perf report document.
-func ReadReport(data []byte) (*Report, error) {
+func ReadReport(rd io.Reader) (*Report, error) {
 	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
+	if err := json.NewDecoder(rd).Decode(&r); err != nil {
 		return nil, fmt.Errorf("perf: bad report: %w", err)
 	}
 	if r.Schema != Schema {

@@ -109,7 +109,7 @@ func TestSamplerReport(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReport(buf.Bytes())
+	back, err := ReadReport(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSamplerReport(t *testing.T) {
 
 func TestReadReportRejectsWrongSchema(t *testing.T) {
 	doc, _ := json.Marshal(map[string]any{"schema": "other/9"})
-	if _, err := ReadReport(doc); err == nil {
+	if _, err := ReadReport(bytes.NewReader(doc)); err == nil {
 		t.Fatal("expected schema error")
 	}
 }

@@ -37,7 +37,7 @@ func getAlerts(t *testing.T, url string) (int, string, []byte) {
 
 func TestAlertsEndpoint(t *testing.T) {
 	srv := telemetry.NewServer()
-	InstallAlerts(srv)
+	srv.Document("/alerts", "alert log", HTTPFilter)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -52,7 +52,8 @@ func TestAlertsEndpoint(t *testing.T) {
 	}
 
 	doc := logBytes(t, sampleLog())
-	srv.PublishAlerts(doc, 1, "critical")
+	srv.Publish("/alerts", doc)
+	srv.SetFiring(1, "critical")
 
 	// No filters: the published bytes come back verbatim.
 	code, ct, body = getAlerts(t, ts.URL+"/alerts")
@@ -123,7 +124,7 @@ func TestAlertsEndpoint(t *testing.T) {
 
 func TestAlertsRunSnapshots(t *testing.T) {
 	srv := telemetry.NewServer()
-	InstallAlerts(srv)
+	srv.Document("/alerts", "alert log", HTTPFilter)
 	srv.SetMaxRuns(2)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -131,7 +132,7 @@ func TestAlertsRunSnapshots(t *testing.T) {
 	// Three runs, each with a distinct alert log snapshot; retention keeps two.
 	for i := 1; i <= 3; i++ {
 		l := &Log{Meta: Meta{Rules: []Rule{{Name: "kv"}}, End: float64(i * 10)}}
-		srv.PublishAlerts(logBytes(t, l), 0, "")
+		srv.Publish("/alerts", logBytes(t, l))
 		srv.AddRun(telemetry.RunSummary{System: "test"})
 	}
 

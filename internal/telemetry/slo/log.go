@@ -65,7 +65,7 @@ type Meta struct {
 }
 
 // Log is the serializable alert log: what -alerts-out writes, /alerts serves,
-// and alertstat reads.
+// and hstat alerts reads.
 type Log struct {
 	Meta   Meta    `json:"meta"`
 	Alerts []Alert `json:"alerts"`
@@ -90,10 +90,13 @@ func (l *Log) WriteJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadLog parses a document written by WriteJSON.
+// ReadLog parses a document written by WriteJSON. Unknown fields are
+// errors, so another artefact (a decision ledger, a perf report) is rejected
+// instead of decoding as an empty log.
 func ReadLog(r io.Reader) (*Log, error) {
 	var l Log
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&l); err != nil {
 		return nil, fmt.Errorf("slo: parse alert log: %w", err)
 	}

@@ -156,6 +156,9 @@ func (r *Rule) Validate() error {
 	if r.For < 0 {
 		return fmt.Errorf("slo: rule %q: negative for", r.Name)
 	}
+	if r.MinMass < 0 {
+		return fmt.Errorf("slo: rule %q: negative min_mass", r.Name)
+	}
 	switch r.Kind {
 	case KindBurnRate:
 		switch r.Objective {
@@ -259,31 +262,48 @@ func DefaultRules(ttft, tpot float64) []Rule {
 	return rules
 }
 
-// rulesDoc is the on-disk rules-file format: {"rules": [...]}.
-type rulesDoc struct {
-	Rules []Rule `json:"rules"`
-}
-
 // ParseRules reads a JSON rules file — either {"rules": [...]} or a bare
-// array — validates every rule, and rejects duplicate names.
+// array — rejects unknown fields (a misspelled "treshold" would otherwise
+// load as zero), validates every rule, and rejects duplicate names. Errors
+// name the offending rule.
 func ParseRules(r io.Reader) ([]Rule, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("slo: read rules: %w", err)
 	}
 	trimmed := bytes.TrimSpace(raw)
-	var rules []Rule
+	var doc struct {
+		Rules []json.RawMessage `json:"rules"`
+	}
 	if len(trimmed) > 0 && trimmed[0] == '[' {
-		err = json.Unmarshal(trimmed, &rules)
+		err = json.Unmarshal(trimmed, &doc.Rules)
 	} else {
-		var doc rulesDoc
-		err = json.Unmarshal(trimmed, &doc)
-		rules = doc.Rules
+		err = decodeStrict(trimmed, &doc)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("slo: parse rules: %w", err)
 	}
+	rules := make([]Rule, len(doc.Rules))
+	for i, raw := range doc.Rules {
+		if err := decodeStrict(raw, &rules[i]); err != nil {
+			return nil, fmt.Errorf("slo: rule %d (%q): %w", i+1, rules[i].Name, err)
+		}
+	}
 	return checkRules(rules)
+}
+
+// decodeStrict decodes one JSON value, rejecting unknown fields and
+// trailing data.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return fmt.Errorf("trailing data after the rules document")
+	}
+	return nil
 }
 
 // checkRules validates a rule set and rejects duplicate names.

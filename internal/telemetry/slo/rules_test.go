@@ -43,6 +43,7 @@ func TestRuleValidateRejections(t *testing.T) {
 	}{
 		{"empty name", Rule{Kind: KindKVSaturation, Threshold: 0.9}, "empty name"},
 		{"negative for", Rule{Name: "r", Kind: KindKVSaturation, Threshold: 0.9, For: -1}, "negative for"},
+		{"negative min_mass", Rule{Name: "r", Kind: KindStageShift, Over: 10, MinMass: -1}, `rule "r": negative min_mass`},
 		{"unknown kind", Rule{Name: "r", Kind: "bogus"}, "unknown kind"},
 		{"unknown objective", Rule{Name: "r", Kind: KindBurnRate, Objective: "bogus"}, "unknown objective"},
 		{"ttft without bound", Rule{Name: "r", Kind: KindBurnRate, Objective: ObjTTFT}, "bound > 0"},
@@ -92,15 +93,25 @@ func TestParseRulesFormats(t *testing.T) {
 		t.Errorf("bare form parsed %+v", rules)
 	}
 
-	for name, bad := range map[string]string{
-		"empty set":       `{"rules": []}`,
-		"duplicate names": `[{"name":"a","kind":"kv-saturation","threshold":0.5},{"name":"a","kind":"kv-saturation","threshold":0.6}]`,
-		"invalid rule":    `[{"name":"a","kind":"bogus"}]`,
-		"bad severity":    `[{"name":"a","kind":"kv-saturation","severity":"fatal","threshold":0.5}]`,
-		"not json":        `nope`,
+	for name, bad := range map[string]struct{ doc, want string }{
+		"empty set":       {`{"rules": []}`, "empty rule set"},
+		"duplicate names": {`[{"name":"a","kind":"kv-saturation","threshold":0.5},{"name":"a","kind":"kv-saturation","threshold":0.6}]`, `duplicate rule name "a"`},
+		"invalid rule":    {`[{"name":"a","kind":"bogus"}]`, `rule "a": unknown kind`},
+		"bad severity":    {`[{"name":"a","kind":"kv-saturation","severity":"fatal","threshold":0.5}]`, `unknown severity "fatal"`},
+		"not json":        {`nope`, "parse rules"},
+		"misspelled field": {`{"rules": [{"kind":"stage-shift","over":5,"treshold":0.9,"name":"shift"}]}`,
+			`rule 1 ("shift"): json: unknown field "treshold"`},
+		"misspelled field, bare": {`[{"name":"kv","kind":"kv-saturation","threshold":0.9},{"name":"b","kind":"stage-shift","over":5,"treshold":0.9}]`,
+			`rule 2 ("b"): json: unknown field "treshold"`},
+		"unknown top-level field": {`{"rules": [{"name":"kv","kind":"kv-saturation","threshold":0.9}], "rule": []}`, `unknown field "rule"`},
+		"trailing data":           {`{"rules": [{"name":"kv","kind":"kv-saturation","threshold":0.9}]} x`, "trailing data"},
+		"negative min_mass":       {`[{"name":"m","kind":"stage-shift","over":5,"min_mass":-1}]`, `rule "m": negative min_mass`},
 	} {
-		if _, err := ParseRules(strings.NewReader(bad)); err == nil {
+		_, err := ParseRules(strings.NewReader(bad.doc))
+		if err == nil {
 			t.Errorf("%s accepted", name)
+		} else if !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: error %q lacks %q", name, err, bad.want)
 		}
 	}
 }

@@ -28,12 +28,12 @@
 # Requires jq; skipped with a warning when jq is missing.
 #
 # Each case further pins the decision-ledger summary ($name.decisions.tsv,
-# rendered by decisionstat -tsv from the run's -decisions-out export): the
+# rendered by hstat decisions -tsv from the run's -decisions-out export): the
 # per-scheme counterfactual regret totals and the scale laws' shadow verdict
 # matrix.
 #
 # Each case finally pins the SLO alert log ($name.alerts.tsv, rendered by
-# alertstat -tsv from the run's -alerts-out export): every alert's lifecycle
+# hstat alerts -tsv from the run's -alerts-out export): every alert's lifecycle
 # stamps and the per-rule roll-up.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -50,8 +50,7 @@ BIN="$OUT_DIR/bin"
 mkdir -p "$BIN"
 go build -o "$BIN/tracegen" ./cmd/tracegen
 go build -o "$BIN/serve" ./cmd/serve
-go build -o "$BIN/decisionstat" ./cmd/decisionstat
-go build -o "$BIN/alertstat" ./cmd/alertstat
+go build -o "$BIN/hstat" ./cmd/hstat
 
 HAVE_JQ=1
 if ! command -v jq > /dev/null; then
@@ -97,8 +96,8 @@ produce() {
 		exit 1
 	fi
 	LC_ALL=C sort "$OUT_DIR/$name.raw.prom" > "$OUT_DIR/$name.prom"
-	"$BIN/decisionstat" -tsv "$OUT_DIR/$name.decisions.json" > "$OUT_DIR/$name.decisions.tsv"
-	"$BIN/alertstat" -tsv "$OUT_DIR/$name.alerts.json" > "$OUT_DIR/$name.alerts.tsv"
+	"$BIN/hstat" decisions -tsv "$OUT_DIR/$name.decisions.json" > "$OUT_DIR/$name.decisions.tsv"
+	"$BIN/hstat" alerts -tsv "$OUT_DIR/$name.alerts.json" > "$OUT_DIR/$name.alerts.tsv"
 	if [[ $HAVE_JQ -eq 1 ]]; then
 		{
 			for q in queue allreduce stages; do
